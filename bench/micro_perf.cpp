@@ -43,10 +43,13 @@ verify::VerifyMode benchVerifyMode() {
   return M;
 }
 
-/// Picks suite apps by size class.
+/// Picks suite apps by size class: 0-4 are the small apps (I ... SBM,
+/// up to 2.4k statements), 5-7 the three largest (Roller, ST, VQWiki,
+/// 9-11k statements).
 const AppSpec &appByIndex(int64_t Idx) {
   static std::vector<AppSpec> Suite = benchmarkSuite();
-  static const char *Names[] = {"I", "BlueBlog", "A", "Friki", "SBM"};
+  static const char *Names[] = {"I",   "BlueBlog", "A",  "Friki",
+                                "SBM", "Roller",   "ST", "VQWiki"};
   for (const AppSpec &S : Suite)
     if (S.Name == Names[Idx])
       return S;
@@ -78,14 +81,14 @@ void BM_HybridSlicing(benchmark::State &State) {
   }
   State.SetLabel(Spec.Name);
 }
-BENCHMARK(BM_HybridSlicing)->DenseRange(0, 4);
+BENCHMARK(BM_HybridSlicing)->DenseRange(0, 7);
 
 /// Thread-count sweep of the parallel per-source engine over the largest
 /// suite app. The range argument is the worker count; compare against the
 /// /1 row for scaling (single-core machines will show no speedup — the
 /// engine's promise there is only that threading costs little).
 void BM_HybridSlicingThreads(benchmark::State &State) {
-  const AppSpec &Spec = appByIndex(4); // SBM, the largest app
+  const AppSpec &Spec = appByIndex(5); // Roller, the largest app
   GeneratedApp App = generateApp(Spec);
   ClassHierarchy CHA(*App.P);
   PointsToSolver Solver(*App.P, CHA);
@@ -118,7 +121,7 @@ void BM_CiSlicing(benchmark::State &State) {
   }
   State.SetLabel(Spec.Name);
 }
-BENCHMARK(BM_CiSlicing)->DenseRange(0, 4);
+BENCHMARK(BM_CiSlicing)->DenseRange(0, 7);
 
 void BM_SdgConstruction(benchmark::State &State) {
   const AppSpec &Spec = appByIndex(State.range(0));
@@ -134,14 +137,14 @@ void BM_SdgConstruction(benchmark::State &State) {
   }
   State.SetLabel(Spec.Name);
 }
-BENCHMARK(BM_SdgConstruction)->DenseRange(0, 4);
+BENCHMARK(BM_SdgConstruction)->DenseRange(0, 7);
 
 /// End-to-end analysis with the persistent artifact cache: the /0 row runs
 /// uncached (cold), the /1 row against a prefilled cache (warm: the
 /// points-to solution and SDG restore from disk instead of being computed).
 /// The warm/cold ratio is the headline number of the warm-start feature.
 void BM_ColdVsWarmAnalysis(benchmark::State &State) {
-  const AppSpec &Spec = appByIndex(4); // SBM, the largest app
+  const AppSpec &Spec = appByIndex(4); // SBM
   const bool Warm = State.range(0) != 0;
   GeneratedApp App = generateApp(Spec);
 

@@ -215,6 +215,7 @@ AnalysisResult TaintAnalysis::run(const std::vector<MethodId> &Roots) {
     Out.Completed = SR.Completed;
     Out.Issues = std::move(SR.Issues);
     Out.SliceWork = SR.PathEdges;
+    Out.RunStats.merge(SR.Counters);
 
     if (!SR.Completed) {
       // CS channel extension exceeded its memory budget before slicing.

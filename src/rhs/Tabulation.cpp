@@ -3,6 +3,7 @@
 #include "rhs/Tabulation.h"
 #include "support/RunGuard.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace taj;
@@ -133,110 +134,114 @@ void Tabulation::drainSummaries() {
 // Two-phase slicing
 //===----------------------------------------------------------------------===//
 
+void Tabulation::SliceResult::beginPhase() {
+  if (++Epoch == 0) { // wrapped: stale stamps could alias the new epoch
+    std::fill(Visited.begin(), Visited.end(), 0);
+    Epoch = 1;
+  }
+  Queue.clear();
+  Head = 0;
+}
+
 void Tabulation::forwardSlice(
     const std::vector<std::pair<SDGNodeId, uint32_t>> &Seeds,
     SliceResult &R) {
-  // Phase 1: ascend (Flow + ParamOut + summaries). Collect newly reached
-  // nodes for phase 2.
-  std::vector<std::pair<SDGNodeId, uint32_t>> Phase1New;
-  {
-    std::deque<std::tuple<SDGNodeId, uint32_t, SDGNodeId>> Q;
-    for (auto [S, D] : Seeds)
-      Q.emplace_back(S, D, InvalidId);
-    std::unordered_set<SDGNodeId> Local;
-    while (!Q.empty()) {
-      if (Guard && !Guard->checkpoint())
-        break; // cutoff: keep what phase 1 reached so far
-      auto [N, D, Par] = Q.front();
-      Q.pop_front();
-      if (!Local.insert(N).second)
-        continue;
-      ++PathEdgeCount;
-      bool Fresh = !R.Dist.count(N);
-      if (Fresh || R.Dist[N] > D) {
-        R.Dist[N] = D;
-        R.Parent[N] = Par;
-      }
-      if (Fresh)
-        Phase1New.emplace_back(N, D);
-      if (isBarrier(N))
-        continue;
-      for (const SDGEdge &E : G.succs(N)) {
-        if (E.Kind == SDGEdgeKind::Flow || E.Kind == SDGEdgeKind::ParamOut)
-          Q.emplace_back(E.To, D + 1, N);
-        else if (E.Kind == SDGEdgeKind::ParamIn) {
-          seedSummary(E.To);
-          drainSummaries();
-          auto SIt = SummaryOuts.find(E.To);
-          if (SIt == SummaryOuts.end())
-            continue;
-          const CallSiteInfo *CS = siteOf(N);
-          if (!CS)
-            continue;
-          for (auto &[FOut, DD] : SIt->second) {
-            SDGNodeId AOut = G.actualOutFor(*CS, FOut);
-            if (AOut != InvalidId)
-              Q.emplace_back(AOut, D + DD + 2, N);
-          }
+  R.fit(G.numNodes());
+
+  // Phase 1: ascend (Flow + ParamOut + summaries). The nodes it newly
+  // reaches, R.Reached[Phase1Begin, Phase1End), seed phase 2.
+  const size_t Phase1Begin = R.Reached.size();
+  R.beginPhase();
+  for (auto [S, D] : Seeds)
+    R.Queue.emplace_back(S, D, InvalidId);
+  while (R.Head < R.Queue.size()) {
+    if (Guard && !Guard->checkpoint())
+      break; // cutoff: keep what phase 1 reached so far
+    auto [N, D, Par] = R.Queue[R.Head++];
+    if (R.Visited[N] == R.Epoch)
+      continue;
+    R.Visited[N] = R.Epoch;
+    ++PathEdgeCount;
+    if (R.Dist[N] == SliceResult::Unreached)
+      R.Reached.push_back(N);
+    if (D < R.Dist[N]) {
+      R.Dist[N] = D;
+      R.Parent[N] = Par;
+    }
+    if (isBarrier(N))
+      continue;
+    for (const SDGEdge &E : G.succs(N)) {
+      if (E.Kind == SDGEdgeKind::Flow || E.Kind == SDGEdgeKind::ParamOut)
+        R.Queue.emplace_back(E.To, D + 1, N);
+      else if (E.Kind == SDGEdgeKind::ParamIn) {
+        seedSummary(E.To);
+        drainSummaries();
+        auto SIt = SummaryOuts.find(E.To);
+        if (SIt == SummaryOuts.end())
+          continue;
+        const CallSiteInfo *CS = siteOf(N);
+        if (!CS)
+          continue;
+        for (auto &[FOut, DD] : SIt->second) {
+          SDGNodeId AOut = G.actualOutFor(*CS, FOut);
+          if (AOut != InvalidId)
+            R.Queue.emplace_back(AOut, D + DD + 2, N);
         }
       }
     }
   }
 
   // Phase 2: descend (Flow + ParamIn + summaries) from everything phase 1
-  // reached.
-  {
-    std::deque<std::tuple<SDGNodeId, uint32_t, SDGNodeId>> Q;
-    for (auto [N, D] : Phase1New)
-      Q.emplace_back(N, D, InvalidId);
-    std::unordered_set<SDGNodeId> Local;
-    while (!Q.empty()) {
-      if (Guard && !Guard->checkpoint())
-        break; // cutoff: return the partial slice
-      auto [N, D, Par] = Q.front();
-      Q.pop_front();
-      if (!Local.insert(N).second)
-        continue;
-      ++PathEdgeCount;
-      if (!R.Dist.count(N) || R.Dist[N] > D) {
-        R.Dist[N] = D;
-        if (Par != InvalidId)
-          R.Parent[N] = Par;
-      }
-      if (!R.Parent.count(N))
+  // newly reached, at the distance it was reached at (phase 1 visits a
+  // node once, so that distance is still its Dist).
+  const size_t Phase1End = R.Reached.size();
+  R.beginPhase();
+  for (size_t I = Phase1Begin; I < Phase1End; ++I)
+    R.Queue.emplace_back(R.Reached[I], R.Dist[R.Reached[I]], InvalidId);
+  while (R.Head < R.Queue.size()) {
+    if (Guard && !Guard->checkpoint())
+      break; // cutoff: return the partial slice
+    auto [N, D, Par] = R.Queue[R.Head++];
+    if (R.Visited[N] == R.Epoch)
+      continue;
+    R.Visited[N] = R.Epoch;
+    ++PathEdgeCount;
+    if (D < R.Dist[N]) {
+      // Only phase-1 nodes enter without a parent, and those are already
+      // reached, so a newly reached node always gets its parent here.
+      if (R.Dist[N] == SliceResult::Unreached)
+        R.Reached.push_back(N);
+      R.Dist[N] = D;
+      if (Par != InvalidId)
         R.Parent[N] = Par;
-      if (isBarrier(N))
+    }
+    if (isBarrier(N))
+      continue;
+    bool HasParamIn = false;
+    for (const SDGEdge &E : G.succs(N)) {
+      if (E.Kind == SDGEdgeKind::Flow || E.Kind == SDGEdgeKind::ParamIn)
+        R.Queue.emplace_back(E.To, D + 1, N);
+      HasParamIn |= E.Kind == SDGEdgeKind::ParamIn;
+    }
+    // Step over calls with summaries as well, so flow continuing after a
+    // call inside a descended-into method is found.
+    if (!HasParamIn)
+      continue;
+    const CallSiteInfo *CS = siteOf(N);
+    if (!CS)
+      continue;
+    for (const SDGEdge &E : G.succs(N)) {
+      if (E.Kind != SDGEdgeKind::ParamIn)
         continue;
-      for (const SDGEdge &E : G.succs(N)) {
-        if (E.Kind == SDGEdgeKind::Flow || E.Kind == SDGEdgeKind::ParamIn) {
-          Q.emplace_back(E.To, D + 1, N);
-        } else if (E.Kind == SDGEdgeKind::ParamOut) {
-          continue;
-        }
-      }
-      // Step over calls with summaries as well, so flow continuing after a
-      // call inside a descended-into method is found.
-      bool HasParamIn = false;
-      for (const SDGEdge &E : G.succs(N))
-        HasParamIn |= E.Kind == SDGEdgeKind::ParamIn;
-      if (HasParamIn) {
-        const CallSiteInfo *CS = siteOf(N);
-        if (CS) {
-          for (const SDGEdge &E : G.succs(N)) {
-            if (E.Kind != SDGEdgeKind::ParamIn)
-              continue;
-            seedSummary(E.To);
-            drainSummaries();
-            auto SIt = SummaryOuts.find(E.To);
-            if (SIt == SummaryOuts.end())
-              continue;
-            for (auto &[FOut, DD] : SIt->second) {
-              SDGNodeId AOut = G.actualOutFor(*CS, FOut);
-              if (AOut != InvalidId)
-                Q.emplace_back(AOut, D + DD + 2, N);
-            }
-          }
-        }
+      seedSummary(E.To);
+      drainSummaries();
+      auto SIt = SummaryOuts.find(E.To);
+      if (SIt == SummaryOuts.end())
+        continue;
+      for (auto &[FOut, DD] : SIt->second) {
+        SDGNodeId AOut = G.actualOutFor(*CS, FOut);
+        if (AOut != InvalidId)
+          R.Queue.emplace_back(AOut, D + DD + 2, N);
       }
     }
   }

@@ -23,6 +23,7 @@
 #include "sdg/SDG.h"
 
 #include <deque>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -44,15 +45,60 @@ public:
 
   /// Persistent slice state; pass the same object to forwardSlice to grow
   /// a slice incrementally (the hybrid slicer adds store->load hop seeds).
+  /// Dense arrays indexed by SDG node, sized on first use; one object is
+  /// meant to be reused across many slices (one per slicing worker), with
+  /// reset() between them.
   struct SliceResult {
-    /// node -> BFS distance from the nearest seed.
-    std::unordered_map<SDGNodeId, uint32_t> Dist;
-    /// node -> discovery predecessor (seeds map to InvalidId).
-    std::unordered_map<SDGNodeId, SDGNodeId> Parent;
+    static constexpr uint32_t Unreached = ~0u;
+    /// node -> BFS distance from the nearest seed (Unreached if not in the
+    /// slice).
+    std::vector<uint32_t> Dist;
+    /// node -> discovery predecessor (InvalidId for seeds and unreached
+    /// nodes).
+    std::vector<SDGNodeId> Parent;
+    /// Every reached node, in first-reach order.
+    std::vector<SDGNodeId> Reached;
+
+    bool reached(SDGNodeId N) const {
+      return N < Dist.size() && Dist[N] != Unreached;
+    }
+    /// Sizes the arrays for a graph of \p NumNodes nodes; a no-op once
+    /// sized for that graph.
+    void fit(uint32_t NumNodes) {
+      if (Dist.size() == NumNodes)
+        return;
+      Dist.assign(NumNodes, Unreached);
+      Parent.assign(NumNodes, InvalidId);
+      Reached.clear();
+      Visited.assign(NumNodes, 0);
+      Epoch = 0;
+    }
+    /// Forgets the slice in O(reached); the arrays keep their size.
+    void reset() {
+      for (SDGNodeId N : Reached) {
+        Dist[N] = Unreached;
+        Parent[N] = InvalidId;
+      }
+      Reached.clear();
+    }
+
+  private:
+    friend class Tabulation;
+    // forwardSlice scratch, reused across calls: a node is visited in the
+    // current phase iff Visited[node] == Epoch. Kept here rather than in
+    // the Tabulation so a worker holds one copy, not one per rule.
+    std::vector<uint32_t> Visited;
+    uint32_t Epoch = 0;
+    /// FIFO of (node, dist, parent); Head is the next entry to pop.
+    std::vector<std::tuple<SDGNodeId, uint32_t, SDGNodeId>> Queue;
+    size_t Head = 0;
+    /// Starts a traversal phase: empties the queue and the visited set.
+    void beginPhase();
   };
 
   /// Extends \p R with everything forward-reachable along realizable paths
-  /// from \p Seeds (pairs of node and initial distance).
+  /// from \p Seeds (pairs of node and initial distance). Newly reached
+  /// nodes are appended to R.Reached.
   void forwardSlice(const std::vector<std::pair<SDGNodeId, uint32_t>> &Seeds,
                     SliceResult &R);
 

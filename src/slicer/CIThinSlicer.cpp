@@ -8,9 +8,8 @@
 #include "support/Stats.h"
 #include "support/Trace.h"
 
-#include <algorithm>
-#include <deque>
 #include <optional>
+#include <unordered_map>
 
 using namespace taj;
 using slicer_detail::SliceItem;
@@ -21,70 +20,68 @@ namespace {
 /// call/return matching, plus direct store->load heap edges — CI thin
 /// slicing. Store->load expansion is metered by the §6.2.1 heap budget,
 /// exactly as in the hybrid slicer; taint-carrier recording is not.
-void sliceOneCi(const SDG &G, const HeapEdges &HE, const SliceItem &It,
-                const SlicerOptions &Opts, RunGuard *Guard,
-                std::vector<Issue> &Buf, uint64_t &Edges) {
+/// R.Reached doubles as the BFS queue: nodes are enqueued exactly when
+/// first reached.
+void sliceOneCi(const SDG &G, const HeapEdges &HE,
+                slicer_detail::SliceWorkerState &WS, const SliceItem &It,
+                const SlicerOptions &Opts, std::vector<Issue> &Buf,
+                uint64_t &Edges, slicer_detail::SliceCounts &C) {
   RuleMask Rule = static_cast<RuleMask>(1u << It.RuleBit);
   SDGNodeId Src = It.Src;
   Budget HeapBudget(Opts.MaxHeapTransitions);
-  std::unordered_map<SDGNodeId, uint32_t> Dist;
-  std::unordered_map<SDGNodeId, SDGNodeId> Parent;
+  WS.beginItem(G);
+  Tabulation::SliceResult &R = WS.R;
   std::unordered_map<SDGNodeId, std::pair<SDGNodeId, uint32_t>> Carrier;
-  std::deque<SDGNodeId> Q;
-  Dist[Src] = 0;
-  Parent[Src] = InvalidId;
-  Q.push_back(Src);
-  while (!Q.empty()) {
-    if (Guard && !Guard->checkpoint())
+  R.Dist[Src] = 0;
+  R.Reached.push_back(Src);
+  for (size_t Head = 0; Head < R.Reached.size(); ++Head) {
+    if (Opts.Guard && !Opts.Guard->checkpoint())
       break; // cutoff: the caller discards this in-flight item
-    SDGNodeId N = Q.front();
-    Q.pop_front();
+    SDGNodeId N = R.Reached[Head];
     ++Edges;
-    uint32_t D = Dist[N];
+    uint32_t D = R.Dist[N];
+    auto Reach = [&](SDGNodeId To) {
+      if (R.reached(To))
+        return false;
+      R.Dist[To] = D + 1;
+      R.Parent[To] = N;
+      R.Reached.push_back(To);
+      return true;
+    };
     const SDGNode &Node = G.node(N);
     bool Barrier = Node.Kind == SDGNodeKind::Stmt &&
                    ((Node.SanitizeMask & Rule) || (Node.SinkMask & Rule));
-    if (!Barrier) {
-      for (const SDGEdge &E : G.succs(N)) {
-        if (!Dist.count(E.To)) {
-          Dist[E.To] = D + 1;
-          Parent[E.To] = N;
-          Q.push_back(E.To);
-        }
+    if (Barrier)
+      continue;
+    for (const SDGEdge &E : G.succs(N))
+      Reach(E.To);
+    // Heap hops at stores.
+    switch (Node.Access) {
+    case HeapAccess::FieldStore:
+    case HeapAccess::ArrayStore:
+    case HeapAccess::StaticStore:
+    case HeapAccess::MapPut:
+    case HeapAccess::CollAdd: {
+      for (SDGNodeId Sk : HE.carrierSinksFor(N)) {
+        if (!(G.node(Sk).SinkMask & Rule))
+          continue;
+        ++C.CarrierHits;
+        auto CIt = Carrier.find(Sk);
+        if (CIt == Carrier.end() || CIt->second.second > D + 1)
+          Carrier[Sk] = {N, D + 1};
       }
-      // Heap hops at stores.
-      switch (Node.Access) {
-      case HeapAccess::FieldStore:
-      case HeapAccess::ArrayStore:
-      case HeapAccess::StaticStore:
-      case HeapAccess::MapPut:
-      case HeapAccess::CollAdd: {
-        for (SDGNodeId Sk : HE.carrierSinksFor(N)) {
-          if (!(G.node(Sk).SinkMask & Rule))
-            continue;
-          auto CIt = Carrier.find(Sk);
-          if (CIt == Carrier.end() || CIt->second.second > D + 1)
-            Carrier[Sk] = {N, D + 1};
-        }
-        // Direct store->load edges, metered by the heap budget (§6.2.1).
-        if (!HeapBudget.consume())
-          break;
-        for (SDGNodeId L : HE.loadsFor(N)) {
-          if (!Dist.count(L)) {
-            Dist[L] = D + 1;
-            Parent[L] = N;
-            Q.push_back(L);
-          }
-        }
+      // Direct store->load edges, metered by the heap budget (§6.2.1).
+      if (!HeapBudget.consume())
         break;
-      }
-      default:
-        break;
-      }
+      for (SDGNodeId L : HE.loadsFor(N))
+        C.HeapHops += Reach(L);
+      break;
+    }
+    default:
+      break;
     }
   }
 
-  const std::unordered_map<SDGNodeId, SDGNodeId> NoHops;
   auto Record = [&](SDGNodeId Sk, uint32_t Len, SDGNodeId PathFrom) {
     if (Opts.MaxFlowLength != 0 && Len > Opts.MaxFlowLength)
       return;
@@ -94,15 +91,14 @@ void sliceOneCi(const SDG &G, const HeapEdges &HE, const SliceItem &It,
     Iss.Rule = Rule;
     Iss.Length = Len;
     Iss.Path =
-        slicer_detail::reconstructPath(G, Parent, NoHops, PathFrom, Sk);
+        slicer_detail::reconstructPath(G, R.Parent, nullptr, PathFrom, Sk);
     Buf.push_back(std::move(Iss));
   };
   for (SDGNodeId Sk : G.sinkNodes()) {
     if (!(G.node(Sk).SinkMask & Rule))
       continue;
-    auto DIt = Dist.find(Sk);
-    if (DIt != Dist.end())
-      Record(Sk, DIt->second, Sk);
+    if (R.reached(Sk))
+      Record(Sk, R.Dist[Sk], Sk);
     auto CIt = Carrier.find(Sk);
     if (CIt != Carrier.end())
       Record(Sk, CIt->second.second, CIt->second.first);
@@ -139,11 +135,13 @@ SliceRunResult taj::runCiSlicer(const Program &P, const ClassHierarchy &CHA,
     Guard->beginPhase(RunPhase::Slicing);
   PhaseScope PS(Opts.Profile, "slicing");
   std::vector<SliceItem> Items = slicer_detail::collectSliceItems(G);
-  struct CiWorkerState {}; // the BFS carries no cross-item state
   slicer_detail::runSliceItems(
-      Opts.Threads, Items, Guard, Out, [] { return CiWorkerState(); },
-      [&](CiWorkerState &, const SliceItem &It, std::vector<Issue> &Buf,
-          uint64_t &Edges) { sliceOneCi(G, HE, It, Opts, Guard, Buf, Edges); });
+      Opts.Threads, Items, Guard, Out,
+      [&](slicer_detail::SliceWorkerState &WS, const SliceItem &It,
+          std::vector<Issue> &Buf, uint64_t &Edges,
+          slicer_detail::SliceCounts &C) {
+        sliceOneCi(G, HE, WS, It, Opts, Buf, Edges, C);
+      });
   slicer_detail::verifyWitnessPhase(G, &HE, Out, Opts);
   return Out;
 }

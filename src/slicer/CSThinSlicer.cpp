@@ -8,9 +8,6 @@
 #include "support/RunGuard.h"
 #include "support/Trace.h"
 
-#include <algorithm>
-#include <array>
-#include <memory>
 #include <optional>
 
 using namespace taj;
@@ -18,27 +15,17 @@ using slicer_detail::SliceItem;
 
 namespace {
 
-/// Worker-private state: one memoized Tabulation per rule (see the hybrid
-/// slicer for the rationale).
-struct CsWorkerState {
-  std::array<std::unique_ptr<Tabulation>, rules::NumRules> Tabs;
-
-  Tabulation &tab(const SDG &G, int RuleBit, RunGuard *Guard) {
-    auto &T = Tabs[RuleBit];
-    if (!T)
-      T = std::make_unique<Tabulation>(
-          G, static_cast<RuleMask>(1u << RuleBit), Guard);
-    return *T;
-  }
-};
-
-void sliceOneCs(const SDG &G, const HeapEdges &HE, Tabulation &Tab,
-                const SliceItem &It, const SlicerOptions &Opts,
-                std::vector<Issue> &Buf) {
+void sliceOneCs(const SDG &G, const HeapEdges &HE,
+                const std::vector<uint32_t> &StorePos,
+                const SlicerOptions &Opts, slicer_detail::SliceWorkerState &WS,
+                const SliceItem &It, std::vector<Issue> &Buf,
+                uint64_t &PathEdges, slicer_detail::SliceCounts &C) {
   RuleMask Rule = static_cast<RuleMask>(1u << It.RuleBit);
   SDGNodeId Src = It.Src;
-  const std::unordered_map<SDGNodeId, SDGNodeId> NoHops;
-  Tabulation::SliceResult R;
+  Tabulation &Tab = WS.tab(G, It.RuleBit, Opts.Guard);
+  const uint64_t EdgesBefore = Tab.pathEdgeCount();
+  WS.beginItem(G);
+  Tabulation::SliceResult &R = WS.R;
   Tab.forwardSlice({{Src, 0}}, R);
 
   auto Record = [&](SDGNodeId Sk, uint32_t Len, SDGNodeId PathFrom) {
@@ -50,26 +37,28 @@ void sliceOneCs(const SDG &G, const HeapEdges &HE, Tabulation &Tab,
     Iss.Rule = Rule;
     Iss.Length = Len;
     Iss.Path =
-        slicer_detail::reconstructPath(G, R.Parent, NoHops, PathFrom, Sk);
+        slicer_detail::reconstructPath(G, R.Parent, nullptr, PathFrom, Sk);
     Buf.push_back(std::move(Iss));
   };
 
   for (SDGNodeId Sk : G.sinkNodes()) {
     if (!(G.node(Sk).SinkMask & Rule))
       continue;
-    auto DIt = R.Dist.find(Sk);
-    if (DIt != R.Dist.end())
-      Record(Sk, DIt->second, Sk);
+    if (R.reached(Sk))
+      Record(Sk, R.Dist[Sk], Sk);
   }
-  // Nested taint via carrier edges at reached stores.
-  for (SDGNodeId St : G.storeNodes()) {
-    auto DIt = R.Dist.find(St);
-    if (DIt == R.Dist.end())
-      continue;
+  // Nested taint via carrier edges at reached stores, in storeNodes()
+  // order.
+  slicer_detail::reachedStores(R, 0, StorePos, WS.NewStores);
+  for (uint32_t Pos : WS.NewStores) {
+    SDGNodeId St = G.storeNodes()[Pos];
     for (SDGNodeId Sk : HE.carrierSinksFor(St))
-      if (G.node(Sk).SinkMask & Rule)
-        Record(Sk, DIt->second + 1, St);
+      if (G.node(Sk).SinkMask & Rule) {
+        ++C.CarrierHits;
+        Record(Sk, R.Dist[St] + 1, St);
+      }
   }
+  PathEdges += Tab.pathEdgeCount() - EdgesBefore;
 }
 
 } // namespace
@@ -111,14 +100,13 @@ SliceRunResult taj::runCsSlicer(const Program &P, const ClassHierarchy &CHA,
     Guard->beginPhase(RunPhase::Slicing);
   PhaseScope PS(Opts.Profile, "slicing");
   std::vector<SliceItem> Items = slicer_detail::collectSliceItems(G);
+  const std::vector<uint32_t> StorePos = slicer_detail::storePositions(G);
   slicer_detail::runSliceItems(
-      Opts.Threads, Items, Guard, Out, [] { return CsWorkerState(); },
-      [&](CsWorkerState &WS, const SliceItem &It, std::vector<Issue> &Buf,
-          uint64_t &PathEdges) {
-        Tabulation &Tab = WS.tab(G, It.RuleBit, Guard);
-        uint64_t Before = Tab.pathEdgeCount();
-        sliceOneCs(G, HE, Tab, It, Opts, Buf);
-        PathEdges += Tab.pathEdgeCount() - Before;
+      Opts.Threads, Items, Guard, Out,
+      [&](slicer_detail::SliceWorkerState &WS, const SliceItem &It,
+          std::vector<Issue> &Buf, uint64_t &PathEdges,
+          slicer_detail::SliceCounts &C) {
+        sliceOneCs(G, HE, StorePos, Opts, WS, It, Buf, PathEdges, C);
       });
   slicer_detail::verifyWitnessPhase(G, &HE, Out, Opts);
   return Out;

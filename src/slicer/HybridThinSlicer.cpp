@@ -9,65 +9,53 @@
 #include "support/Stats.h"
 #include "support/Trace.h"
 
-#include <algorithm>
-#include <array>
-#include <memory>
 #include <optional>
-#include <set>
+#include <unordered_map>
 
 using namespace taj;
 using slicer_detail::SliceItem;
-
-namespace {
-
-/// Worker-private state: one memoized Tabulation per rule, created on the
-/// first item of that rule the worker picks up (summaries are reused
-/// across all of the worker's sources for the rule, as the sequential
-/// per-rule loop reuses them across all sources).
-struct HybridWorkerState {
-  std::array<std::unique_ptr<Tabulation>, rules::NumRules> Tabs;
-
-  Tabulation &tab(const SDG &G, int RuleBit, RunGuard *Guard) {
-    auto &T = Tabs[RuleBit];
-    if (!T)
-      T = std::make_unique<Tabulation>(
-          G, static_cast<RuleMask>(1u << RuleBit), Guard);
-    return *T;
-  }
-};
 
 /// Slices one (rule, source) item: demand-driven HSDG traversal
 /// alternating context-sensitive no-heap slices with flow-insensitive
 /// store->load hops and taint-carrier edges. Appends every surviving
 /// Record attempt to \p Buf in discovery order (the caller dedups).
-void sliceOneHybrid(const SDG &G, const HeapEdges &HE, Tabulation &Tab,
-                    const SliceItem &It, const SlicerOptions &Opts,
-                    std::vector<Issue> &Buf) {
+void slicer_detail::sliceOneHybrid(const SDG &G, const HeapEdges &HE,
+                                   const std::vector<uint32_t> &StorePos,
+                                   const SlicerOptions &Opts,
+                                   SliceWorkerState &WS, const SliceItem &It,
+                                   std::vector<Issue> &Buf,
+                                   uint64_t &PathEdges, SliceCounts &C) {
   RuleMask Rule = static_cast<RuleMask>(1u << It.RuleBit);
   SDGNodeId Src = It.Src;
-  Tabulation::SliceResult R;
+  Tabulation &Tab = WS.tab(G, It.RuleBit, Opts.Guard);
+  const uint64_t EdgesBefore = Tab.pathEdgeCount();
+  WS.beginItem(G);
+  Tabulation::SliceResult &R = WS.R;
   std::vector<std::pair<SDGNodeId, uint32_t>> Seeds = {{Src, 0}};
   // §6.2.1: bound on store->load expansions of the slice.
   Budget HeapBudget(Opts.MaxHeapTransitions);
-  std::set<SDGNodeId> ExpandedStores;
-  std::unordered_map<SDGNodeId, SDGNodeId> HopParent;
   // Carrier-discovered sinks: sink node -> (store parent, length).
   std::unordered_map<SDGNodeId, std::pair<SDGNodeId, uint32_t>> Carrier;
 
-  bool More = true;
-  while (More) {
+  // Every reached store is expanded exactly once, in the round after the
+  // slice first reaches it: R.Reached[0, Expanded) is done. Within a round
+  // the new stores go in G.storeNodes() order, the order of a full store
+  // scan, which fixes carrier tie-breaks, HopParent overwrites, budget
+  // spending and seed order.
+  size_t Expanded = 0;
+  while (true) {
     Tab.forwardSlice(Seeds, R);
     Seeds.clear();
-    More = false;
-    for (SDGNodeId St : G.storeNodes()) {
-      auto DIt = R.Dist.find(St);
-      if (DIt == R.Dist.end() || !ExpandedStores.insert(St).second)
-        continue;
-      uint32_t D = DIt->second;
+    slicer_detail::reachedStores(R, Expanded, StorePos, WS.NewStores);
+    Expanded = R.Reached.size();
+    for (uint32_t Pos : WS.NewStores) {
+      SDGNodeId St = G.storeNodes()[Pos];
+      uint32_t D = R.Dist[St];
       // Taint-carrier edges (§4.1.1): store -> sink.
       for (SDGNodeId Sk : HE.carrierSinksFor(St)) {
         if (!(G.node(Sk).SinkMask & Rule))
           continue;
+        ++C.CarrierHits;
         auto CIt = Carrier.find(Sk);
         if (CIt == Carrier.end() || CIt->second.second > D + 1)
           Carrier[Sk] = {St, D + 1};
@@ -76,14 +64,16 @@ void sliceOneHybrid(const SDG &G, const HeapEdges &HE, Tabulation &Tab,
       if (!HeapBudget.consume())
         continue;
       for (SDGNodeId L : HE.loadsFor(St)) {
-        auto LIt = R.Dist.find(L);
-        if (LIt != R.Dist.end() && LIt->second <= D + 1)
+        if (R.Dist[L] <= D + 1)
           continue;
         Seeds.emplace_back(L, D + 1);
-        HopParent[L] = St;
-        More = true;
+        WS.HopParent[L] = St;
       }
     }
+    if (Seeds.empty())
+      break;
+    ++C.HeapRounds;
+    C.HeapHops += Seeds.size();
   }
 
   auto Record = [&](SDGNodeId Sk, uint32_t Len, SDGNodeId PathFrom) {
@@ -94,7 +84,7 @@ void sliceOneHybrid(const SDG &G, const HeapEdges &HE, Tabulation &Tab,
     Iss.Sink = G.node(Sk).S;
     Iss.Rule = Rule;
     Iss.Length = Len;
-    Iss.Path = slicer_detail::reconstructPath(G, R.Parent, HopParent,
+    Iss.Path = slicer_detail::reconstructPath(G, R.Parent, &WS.HopParent,
                                               PathFrom, Sk);
     Buf.push_back(std::move(Iss));
   };
@@ -102,16 +92,14 @@ void sliceOneHybrid(const SDG &G, const HeapEdges &HE, Tabulation &Tab,
   for (SDGNodeId Sk : G.sinkNodes()) {
     if (!(G.node(Sk).SinkMask & Rule))
       continue;
-    auto DIt = R.Dist.find(Sk);
-    if (DIt != R.Dist.end())
-      Record(Sk, DIt->second, Sk);
+    if (R.reached(Sk))
+      Record(Sk, R.Dist[Sk], Sk);
     auto CIt = Carrier.find(Sk);
     if (CIt != Carrier.end())
       Record(Sk, CIt->second.second, CIt->second.first);
   }
+  PathEdges += Tab.pathEdgeCount() - EdgesBefore;
 }
-
-} // namespace
 
 SliceRunResult taj::runHybridSlicer(const Program &P,
                                     const ClassHierarchy &CHA,
@@ -142,14 +130,14 @@ SliceRunResult taj::runHybridSlicer(const Program &P,
     Guard->beginPhase(RunPhase::Slicing);
   PhaseScope PS(Opts.Profile, "slicing");
   std::vector<SliceItem> Items = slicer_detail::collectSliceItems(G);
+  const std::vector<uint32_t> StorePos = slicer_detail::storePositions(G);
   slicer_detail::runSliceItems(
-      Opts.Threads, Items, Guard, Out, [] { return HybridWorkerState(); },
-      [&](HybridWorkerState &WS, const SliceItem &It, std::vector<Issue> &Buf,
-          uint64_t &PathEdges) {
-        Tabulation &Tab = WS.tab(G, It.RuleBit, Guard);
-        uint64_t Before = Tab.pathEdgeCount();
-        sliceOneHybrid(G, HE, Tab, It, Opts, Buf);
-        PathEdges += Tab.pathEdgeCount() - Before;
+      Opts.Threads, Items, Guard, Out,
+      [&](slicer_detail::SliceWorkerState &WS, const SliceItem &It,
+          std::vector<Issue> &Buf, uint64_t &PathEdges,
+          slicer_detail::SliceCounts &C) {
+        slicer_detail::sliceOneHybrid(G, HE, StorePos, Opts, WS, It, Buf,
+                                      PathEdges, C);
       });
   slicer_detail::verifyWitnessPhase(G, &HE, Out, Opts);
   return Out;

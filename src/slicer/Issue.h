@@ -16,6 +16,7 @@
 #define TAJ_SLICER_ISSUE_H
 
 #include "ir/Program.h"
+#include "support/Stats.h"
 
 #include <vector>
 
@@ -48,6 +49,9 @@ struct SliceRunResult {
   std::vector<Issue> Issues;
   /// Work metric (tabulation path edges / BFS visits).
   uint64_t PathEdges = 0;
+  /// Named slicing counters of the completed items: slice.items,
+  /// slice.heap_rounds, slice.heap_hops, slice.carrier_hits.
+  Stats Counters;
 };
 
 } // namespace taj

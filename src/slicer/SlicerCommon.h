@@ -16,13 +16,17 @@
 #define TAJ_SLICER_SLICERCOMMON_H
 
 #include "persist/Cache.h"
+#include "rhs/Tabulation.h"
 #include "sdg/SDG.h"
 #include "slicer/Issue.h"
 #include "slicer/Slicer.h"
 #include "support/Parallel.h"
 #include "support/RunGuard.h"
+#include "support/Stats.h"
 
 #include <algorithm>
+#include <array>
+#include <memory>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -71,11 +75,12 @@ inline void verifyWitnessPhase(const SDG &G, const HeapEdges *HE,
 /// Walks discovery parents from \p From back to a seed, collecting the
 /// statement path in source-to-sink order; \p Sink is appended when the
 /// walk starts elsewhere (taint-carrier flows end at the sink directly).
-/// \p HopParent supplies store->load hop links not present in \p Parent.
+/// \p Parent is indexed by SDG node (InvalidId: no parent); \p HopParent,
+/// when given, supplies the store->load hop links of nodes whose Parent is
+/// InvalidId.
 inline std::vector<StmtId>
-reconstructPath(const SDG &G,
-                const std::unordered_map<SDGNodeId, SDGNodeId> &Parent,
-                const std::unordered_map<SDGNodeId, SDGNodeId> &HopParent,
+reconstructPath(const SDG &G, const std::vector<SDGNodeId> &Parent,
+                const std::unordered_map<SDGNodeId, SDGNodeId> *HopParent,
                 SDGNodeId From, SDGNodeId Sink) {
   std::vector<StmtId> Rev;
   if (Sink != From && G.node(Sink).Kind == SDGNodeKind::Stmt)
@@ -93,19 +98,39 @@ reconstructPath(const SDG &G,
       S = G.node(N.Aux).S; // record the call site the flow entered through
     if (S != ~0u && (Rev.empty() || Rev.back() != S))
       Rev.push_back(S);
-    SDGNodeId Next = InvalidId;
-    auto PIt = Parent.find(Cur);
-    if (PIt != Parent.end() && PIt->second != InvalidId) {
-      Next = PIt->second;
-    } else {
-      auto HIt = HopParent.find(Cur);
-      if (HIt != HopParent.end())
+    SDGNodeId Next = Parent[Cur];
+    if (Next == InvalidId && HopParent) {
+      auto HIt = HopParent->find(Cur);
+      if (HIt != HopParent->end())
         Next = HIt->second;
     }
     Cur = Next;
   }
   std::reverse(Rev.begin(), Rev.end());
   return Rev;
+}
+
+/// Position of every store node in G.storeNodes(), indexed by SDG node
+/// (NotAStore for other nodes). Built once per run, before the fan-out.
+inline constexpr uint32_t NotAStore = ~0u;
+inline std::vector<uint32_t> storePositions(const SDG &G) {
+  std::vector<uint32_t> Pos(G.numNodes(), NotAStore);
+  const std::vector<SDGNodeId> &Stores = G.storeNodes();
+  for (uint32_t I = 0; I < Stores.size(); ++I)
+    Pos[Stores[I]] = I;
+  return Pos;
+}
+
+/// Fills \p Out with the store positions of R.Reached[From, end), sorted:
+/// those stores in G.storeNodes() order.
+inline void reachedStores(const Tabulation::SliceResult &R, size_t From,
+                          const std::vector<uint32_t> &StorePos,
+                          std::vector<uint32_t> &Out) {
+  Out.clear();
+  for (size_t I = From; I < R.Reached.size(); ++I)
+    if (uint32_t P = StorePos[R.Reached[I]]; P != NotAStore)
+      Out.push_back(P);
+  std::sort(Out.begin(), Out.end());
 }
 
 //===----------------------------------------------------------------------===//
@@ -147,44 +172,98 @@ inline std::vector<SliceItem> collectSliceItems(const SDG &G) {
   return Items;
 }
 
+/// Worker-private state, reused across all items the worker slices:
+///  - one memoized Tabulation per rule (RHS slicers), created on the first
+///    item of that rule the worker picks up, so summaries are reused across
+///    the worker's sources as the sequential per-rule loop reuses them;
+///  - dense per-item slice state, sized to the SDG once and reset in
+///    O(reached) at the start of every item.
+struct SliceWorkerState {
+  std::array<std::unique_ptr<Tabulation>, rules::NumRules> Tabs;
+  Tabulation::SliceResult R;
+  /// Hybrid: load -> store of the last heap hop that seeded it. Hops are
+  /// few per item, so a map is smaller than another node-sized array.
+  std::unordered_map<SDGNodeId, SDGNodeId> HopParent;
+  /// Hybrid/CS: scratch for the reached-store positions of one round.
+  std::vector<uint32_t> NewStores;
+
+  Tabulation &tab(const SDG &G, int RuleBit, RunGuard *Guard) {
+    auto &T = Tabs[RuleBit];
+    if (!T)
+      T = std::make_unique<Tabulation>(
+          G, static_cast<RuleMask>(1u << RuleBit), Guard);
+    return *T;
+  }
+
+  /// Forgets the previous item and sizes the dense arrays to \p G.
+  void beginItem(const SDG &G) {
+    R.reset();
+    R.fit(G.numNodes());
+    HopParent.clear();
+  }
+};
+
+/// Per-item slicing counters, accumulated locally by one item and added to
+/// the run's `slice.*` counters once the item completes.
+struct SliceCounts {
+  uint64_t HeapRounds = 0;  ///< re-slices seeded by store->load hops
+  uint64_t HeapHops = 0;    ///< store->load hops that reached or
+                            ///< shortened a load
+  uint64_t CarrierHits = 0; ///< carrier (store -> sink) edges of the rule
+};
+
+/// Slices one hybrid (rule, source) item on \p WS (HybridThinSlicer.cpp).
+/// Appends every surviving Record attempt to \p Buf in discovery order and
+/// adds the item's tabulation work to \p PathEdges.
+void sliceOneHybrid(const SDG &G, const HeapEdges &HE,
+                    const std::vector<uint32_t> &StorePos,
+                    const SlicerOptions &Opts, SliceWorkerState &WS,
+                    const SliceItem &It, std::vector<Issue> &Buf,
+                    uint64_t &PathEdges, SliceCounts &C);
+
 /// Fans \p Items across \p Threads workers and merges deterministically.
 ///
-/// \p MakeState builds one worker-private state object (e.g. the lazily
-/// created per-rule Tabulations); \p Slice runs one item:
-///   Slice(State &, const SliceItem &, std::vector<Issue> &Buf,
-///         uint64_t &PathEdges)
+/// \p Slice runs one item:
+///   Slice(SliceWorkerState &, const SliceItem &, std::vector<Issue> &Buf,
+///         uint64_t &PathEdges, SliceCounts &)
 /// appending the item's issues (in discovery order, duplicates included)
-/// to Buf and adding the item's traversal work to PathEdges.
-template <class MakeStateFn, class SliceFn>
+/// to Buf and adding the item's traversal work to PathEdges. Completed
+/// items are counted into Out.Counters (`slice.*`).
+template <class SliceFn>
 void runSliceItems(uint32_t Threads, const std::vector<SliceItem> &Items,
-                   RunGuard *Guard, SliceRunResult &Out,
-                   MakeStateFn MakeState, SliceFn Slice) {
+                   RunGuard *Guard, SliceRunResult &Out, SliceFn Slice) {
   unsigned W = resolveThreadCount(Threads);
   if (W > Items.size() && !Items.empty())
     W = static_cast<unsigned>(Items.size());
   if (W == 0)
     W = 1;
 
-  using StateT = decltype(MakeState());
-  std::vector<StateT> States;
-  States.reserve(W);
-  for (unsigned K = 0; K < W; ++K)
-    States.push_back(MakeState());
+  std::vector<SliceWorkerState> States(W);
   std::vector<std::vector<Issue>> Buffers(Items.size());
   std::vector<char> Completed(Items.size(), 0);
   std::vector<uint64_t> Edges(W, 0);
+  // Interned before the fan-out: concurrent addTo() needs stable handles.
+  const Stats::Handle HItems = Out.Counters.handle("slice.items");
+  const Stats::Handle HRounds = Out.Counters.handle("slice.heap_rounds");
+  const Stats::Handle HHops = Out.Counters.handle("slice.heap_hops");
+  const Stats::Handle HCarriers = Out.Counters.handle("slice.carrier_hits");
 
   parallelForInterleaved(W, Items.size(), [&](unsigned Worker, size_t I) {
     // One checkpoint per item, as in the sequential per-source loops; a
     // failing checkpoint (or an already-stopped guard) skips the item.
     if (Guard && !Guard->checkpoint())
       return;
-    Slice(States[Worker], Items[I], Buffers[I], Edges[Worker]);
+    SliceCounts C;
+    Slice(States[Worker], Items[I], Buffers[I], Edges[Worker], C);
     if (Guard && Guard->stopped()) {
       Buffers[I].clear(); // discard the in-flight partial: underapproximate
       return;
     }
     Completed[I] = 1;
+    Out.Counters.addTo(HItems);
+    Out.Counters.addTo(HRounds, C.HeapRounds);
+    Out.Counters.addTo(HHops, C.HeapHops);
+    Out.Counters.addTo(HCarriers, C.CarrierHits);
   });
 
   // Deterministic merge: sequential item order through one dedup set

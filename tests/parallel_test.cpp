@@ -6,8 +6,9 @@
 // scheduled. This suite pins that contract for all three slicers, for
 // clean runs and for governed runs (fault injection, deadlines), where the
 // worker-completion merge keeps partial results strictly underapproximate.
-// It also covers the Parallel primitives and the CI slicer's §6.2.1 heap
-// budget.
+// It also covers the Parallel primitives, the CI slicer's §6.2.1 heap
+// budget, reuse of one worker's dense slice state across items, and the
+// slice.* counters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,11 +18,14 @@
 #include "ir/Verifier.h"
 #include "model/BuiltinLibrary.h"
 #include "model/Entrypoints.h"
+#include "persist/Cache.h"
 #include "report/ReportGenerator.h"
+#include "slicer/SlicerCommon.h"
 #include "support/Parallel.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <set>
@@ -144,6 +148,14 @@ GeneratedApp generatedApp() {
   return generateApp(Spec);
 }
 
+GeneratedApp suiteApp(const std::string &Name) {
+  for (const AppSpec &S : benchmarkSuite())
+    if (S.Name == Name)
+      return generateApp(S);
+  ADD_FAILURE() << "no suite app " << Name;
+  return generateApp(benchmarkSuite().front());
+}
+
 //===----------------------------------------------------------------------===//
 // Parallel primitives
 //===----------------------------------------------------------------------===//
@@ -215,8 +227,9 @@ TEST(ParallelSlicing, AllSlicersByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelSlicing, GeneratedAppByteIdenticalAcrossThreadCounts) {
-  GeneratedApp App = generatedApp();
+/// Hybrid and CI on \p App at every thread count: the issues (every
+/// field) and the rendered report must equal the 1-thread run's.
+void expectThreadCountInvariant(const GeneratedApp &App, size_t MinIssues) {
   for (SlicerKind K : {SlicerKind::Hybrid, SlicerKind::CI}) {
     SCOPED_TRACE(kindName(K));
     std::vector<Issue> BaseIssues;
@@ -233,11 +246,161 @@ TEST(ParallelSlicing, GeneratedAppByteIdenticalAcrossThreadCounts) {
       if (T == 1) {
         BaseIssues = R.Issues;
         BaseReport = Report;
-        ASSERT_GE(BaseIssues.size(), 10u);
+        ASSERT_GE(BaseIssues.size(), MinIssues);
       } else {
         expectIdenticalIssues(BaseIssues, R.Issues);
         EXPECT_EQ(BaseReport, Report);
       }
+    }
+  }
+}
+
+TEST(ParallelSlicing, GeneratedAppByteIdenticalAcrossThreadCounts) {
+  expectThreadCountInvariant(generatedApp(), 10);
+}
+
+/// The three largest suite apps: thousands of (rule, source) items, heap
+/// hops and carrier sinks, so every worker slices many items on one reused
+/// dense state.
+class LargeAppThreadSweep : public ::testing::TestWithParam<const char *> {};
+
+TEST_P(LargeAppThreadSweep, ByteIdenticalAcrossThreadCounts) {
+  expectThreadCountInvariant(suiteApp(GetParam()), 100);
+}
+
+INSTANTIATE_TEST_SUITE_P(Suite, LargeAppThreadSweep,
+                         ::testing::Values("Roller", "ST", "VQWiki"));
+
+TEST(ParallelSlicing, ReusedWorkerStateMatchesFreshStatePerItem) {
+  // One worker slices many items on one SliceWorkerState: its dense slice
+  // arrays are reset in O(reached) and its per-rule Tabulations keep their
+  // summaries. Neither may leak into the next item: every item's issues
+  // (Length and Path included) must be the same in forward order, in
+  // reverse order, and on a fresh state per item.
+  GeneratedApp App = suiteApp("GridSphere");
+  ClassHierarchy CHA(*App.P);
+  PointsToSolver Solver(*App.P, CHA);
+  Solver.solve({App.Root});
+  SlicerOptions Opts;
+  SDGOptions SO; // the hybrid slicer's graph
+  SO.ContextExpanded = true;
+  SO.WithChanParams = false;
+  persist::SdgArtifacts A = persist::loadOrBuildSdg(
+      *App.P, CHA, Solver, SO, Opts.NestedTaintDepth, nullptr, "");
+  const std::vector<slicer_detail::SliceItem> Items =
+      slicer_detail::collectSliceItems(*A.G);
+  const std::vector<uint32_t> StorePos = slicer_detail::storePositions(*A.G);
+  ASSERT_GE(Items.size(), 100u);
+
+  enum class Order { Forward, Reverse, FreshPerItem };
+  auto SliceAll = [&](Order O) {
+    std::vector<std::vector<Issue>> Bufs(Items.size());
+    slicer_detail::SliceWorkerState Shared;
+    slicer_detail::SliceCounts C;
+    for (size_t K = 0; K < Items.size(); ++K) {
+      size_t I = O == Order::Reverse ? Items.size() - 1 - K : K;
+      slicer_detail::SliceWorkerState Fresh;
+      uint64_t Edges = 0;
+      slicer_detail::sliceOneHybrid(*A.G, *A.HE, StorePos, Opts,
+                                    O == Order::FreshPerItem ? Fresh : Shared,
+                                    Items[I], Bufs[I], Edges, C);
+    }
+    EXPECT_GT(C.HeapHops, 0u);
+    EXPECT_GT(C.CarrierHits, 0u);
+    return Bufs;
+  };
+  const std::vector<std::vector<Issue>> Fwd = SliceAll(Order::Forward);
+  const std::vector<std::vector<Issue>> Rev = SliceAll(Order::Reverse);
+  const std::vector<std::vector<Issue>> Fresh = SliceAll(Order::FreshPerItem);
+  size_t Total = 0;
+  for (size_t I = 0; I < Items.size(); ++I) {
+    SCOPED_TRACE("item " + std::to_string(I));
+    expectIdenticalIssues(Fresh[I], Fwd[I]);
+    expectIdenticalIssues(Fresh[I], Rev[I]);
+    Total += Fresh[I].size();
+  }
+  EXPECT_GT(Total, 0u);
+
+  // The forward buffers, merged as the engine merges them, are exactly
+  // what the slicer reports.
+  std::set<Issue> Dedup;
+  std::vector<Issue> Merged;
+  for (const std::vector<Issue> &Buf : Fwd)
+    for (const Issue &Iss : Buf)
+      if (Dedup.insert(Iss).second)
+        Merged.push_back(Iss);
+  std::sort(Merged.begin(), Merged.end());
+  expectIdenticalIssues(runHybridSlicer(*App.P, CHA, Solver, Opts).Issues,
+                        Merged);
+}
+
+TEST(ParallelSlicing, HeapRoundExpandsStoresInStoreOrder) {
+  // Two stores into h.v, both reached in the first slice round: `h.v = t`
+  // at distance 1, `h.v = s` later (through a call). Each hop seeds the
+  // same load u = h.v, and the first seed in expansion order fixes its
+  // distance. The round expands the stores in G.storeNodes() (program)
+  // order, not in the order the slice reached them, so swapping the two
+  // stores in the source changes the reported flow length.
+  auto LengthWith = [](const char *Stores) {
+    std::string Src = R"(
+class Holder extends Object {
+  field v: String;
+}
+class App extends Servlet {
+  method id(this: App, x: String): String { return x; }
+  method doGet(this: App, req: Request, resp: Response): void [entry] {
+    t = req.getParameter("name");
+    h = new Holder;
+    s = this.id(t);
+)";
+    Src += Stores;
+    Src += R"(
+    u = h.v;
+    w = resp.getWriter();
+    w.println(u);
+  }
+}
+)";
+    Pipeline PL(Src);
+    AnalysisResult R = PL.run(AnalysisConfig::hybridUnbounded());
+    EXPECT_FALSE(R.Issues.empty());
+    uint32_t Len = 0;
+    for (const Issue &I : R.Issues)
+      if (I.Rule == rules::XSS)
+        Len = I.Length;
+    return Len;
+  };
+  const uint32_t FarFirst = LengthWith("    h.v = s;\n    h.v = t;\n");
+  const uint32_t NearFirst = LengthWith("    h.v = t;\n    h.v = s;\n");
+  EXPECT_GT(NearFirst, 0u);
+  EXPECT_GT(FarFirst, NearFirst);
+}
+
+TEST(ParallelSlicing, SliceCountersAreThreadCountInvariant) {
+  GeneratedApp App = generatedApp();
+  const char *Names[] = {"slice.items", "slice.heap_rounds",
+                         "slice.heap_hops", "slice.carrier_hits"};
+  for (SlicerKind K : {SlicerKind::Hybrid, SlicerKind::CI}) {
+    SCOPED_TRACE(kindName(K));
+    AnalysisConfig C1 = configFor(K);
+    C1.Threads = 1;
+    TaintAnalysis T1(*App.P, std::move(C1));
+    AnalysisResult R1 = T1.run({App.Root});
+    AnalysisConfig C8 = configFor(K);
+    C8.Threads = 8;
+    TaintAnalysis T8(*App.P, std::move(C8));
+    AnalysisResult R8 = T8.run({App.Root});
+    for (const char *N : Names) {
+      SCOPED_TRACE(N);
+      EXPECT_EQ(R1.RunStats.get(N), R8.RunStats.get(N));
+      EXPECT_NE(R1.RunStats.toJson().find(std::string("\"") + N + "\":"),
+                std::string::npos);
+    }
+    EXPECT_GT(R1.RunStats.get("slice.items"), 0u);
+    EXPECT_GT(R1.RunStats.get("slice.heap_hops"), 0u);
+    EXPECT_GT(R1.RunStats.get("slice.carrier_hits"), 0u);
+    if (K == SlicerKind::Hybrid) {
+      EXPECT_GT(R1.RunStats.get("slice.heap_rounds"), 0u);
     }
   }
 }

@@ -187,7 +187,7 @@ class App extends Servlet {
     Tabulation::SliceResult R;
     Tab.forwardSlice({{Src, 0}}, R);
     for (SDGNodeId Sk : B.G->sinkNodes())
-      EXPECT_FALSE(R.Dist.count(Sk))
+      EXPECT_FALSE(R.reached(Sk))
           << "slice must stop at the sanitizer";
   }
 }

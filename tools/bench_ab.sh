@@ -5,32 +5,33 @@
 # runs (A B A B ...) so CPU frequency drift and cache warmth bias neither
 # side, then reports per-benchmark medians and speedups.
 #
-#   tools/bench_ab.sh <buildA> <buildB> [rounds] [out.json]
+#   tools/bench_ab.sh <buildA> <buildB> <rounds> <out.json>
 #
 #   buildA    baseline build tree (e.g. a checkout of the previous HEAD)
 #   buildB    candidate build tree
-#   rounds    interleaved rounds per side (default 5)
-#   out.json  report path (default BENCH_10.json in the repo root)
+#   rounds    interleaved rounds per side (e.g. 5)
+#   out.json  report path; required, so a run never overwrites a
+#             committed BENCH_<n>.json by accident
 #
-# Only the benchmarks the solver rework can move are measured:
-# BM_PointerAnalysis (the hot path itself), BM_SdgConstruction (its
-# biggest query-surface consumer) and BM_ServerWarmRequest (the warm
-# restore path over the new artifact format). The speedup column is
-# medianA / medianB, so values above 1 mean the candidate is faster.
+# Measured: the analysis layers of the large-app path — BM_PointerAnalysis,
+# BM_SdgConstruction, BM_HybridSlicing, BM_HybridSlicingThreads and
+# BM_CiSlicing — plus BM_ServerWarmRequest (the warm restore path). The
+# speedup column is medianA / medianB, so values above 1 mean the
+# candidate is faster.
 #
 #===----------------------------------------------------------------------===#
 set -euo pipefail
 
-if [ $# -lt 2 ]; then
-  echo "usage: $0 <buildA> <buildB> [rounds] [out.json]" >&2
+if [ $# -ne 4 ]; then
+  echo "usage: $0 <buildA> <buildB> <rounds> <out.json>" >&2
   exit 2
 fi
 
 BUILD_A=$1
 BUILD_B=$2
-ROUNDS=${3:-5}
-OUT=${4:-$(cd "$(dirname "$0")/.." && pwd)/BENCH_10.json}
-FILTER='BM_PointerAnalysis|BM_SdgConstruction|BM_ServerWarmRequest'
+ROUNDS=$3
+OUT=$4
+FILTER='BM_PointerAnalysis|BM_SdgConstruction|BM_HybridSlicing|BM_CiSlicing|BM_ServerWarmRequest'
 
 for D in "$BUILD_A" "$BUILD_B"; do
   if [ ! -x "$D/bench/micro_perf" ]; then
