@@ -149,7 +149,6 @@ public:
 
 private:
   std::string pathFor(const std::string &Key) const;
-  void dropEntry(const std::string &Key, const std::string &Why);
   void evictToCap();
 
   std::string Dir;

@@ -245,6 +245,16 @@ void encodeFrameHeader(uint8_t Hdr[8], uint32_t Len) {
   Hdr[6] = static_cast<uint8_t>(Len >> 16);
   Hdr[7] = static_cast<uint8_t>(Len >> 24);
 }
+
+/// Checks the magic and the length cap of an 8-byte frame header.
+bool decodeFrameHeader(const uint8_t Hdr[8], uint32_t &Len) {
+  uint32_t Magic;
+  std::memcpy(&Magic, Hdr, 4);
+  Len = static_cast<uint32_t>(Hdr[4]) | (static_cast<uint32_t>(Hdr[5]) << 8) |
+        (static_cast<uint32_t>(Hdr[6]) << 16) |
+        (static_cast<uint32_t>(Hdr[7]) << 24);
+  return Magic == FrameMagic && Len <= MaxFrameBytes;
+}
 } // namespace
 
 bool server::writeFrame(int Fd, const std::vector<uint8_t> &Payload) {
@@ -269,18 +279,27 @@ bool server::appendFrame(std::string &Out, const std::vector<uint8_t> &Payload) 
 
 bool server::readFrame(int Fd, std::vector<uint8_t> &Payload) {
   uint8_t Hdr[8];
-  if (!readFull(Fd, Hdr, sizeof(Hdr)))
-    return false;
-  uint32_t Magic;
-  std::memcpy(&Magic, Hdr, 4);
-  if (Magic != FrameMagic)
-    return false;
-  const uint32_t Len = static_cast<uint32_t>(Hdr[4]) |
-                       (static_cast<uint32_t>(Hdr[5]) << 8) |
-                       (static_cast<uint32_t>(Hdr[6]) << 16) |
-                       (static_cast<uint32_t>(Hdr[7]) << 24);
-  if (Len > MaxFrameBytes)
+  uint32_t Len;
+  if (!readFull(Fd, Hdr, sizeof(Hdr)) || !decodeFrameHeader(Hdr, Len))
     return false;
   Payload.resize(Len);
   return Len == 0 || readFull(Fd, Payload.data(), Len);
+}
+
+bool server::takeFrame(std::string &Buf, std::vector<uint8_t> &Payload,
+                       bool &Bad) {
+  Bad = false;
+  if (Buf.size() < 8)
+    return false;
+  const uint8_t *B = reinterpret_cast<const uint8_t *>(Buf.data());
+  uint32_t Len;
+  if (!decodeFrameHeader(B, Len)) {
+    Bad = true;
+    return false;
+  }
+  if (Buf.size() < 8 + static_cast<size_t>(Len))
+    return false;
+  Payload.assign(B + 8, B + 8 + Len);
+  Buf.erase(0, 8 + static_cast<size_t>(Len));
+  return true;
 }

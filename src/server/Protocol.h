@@ -123,6 +123,12 @@ bool appendFrame(std::string &Out, const std::vector<uint8_t> &Payload);
 /// oversized announced length.
 bool readFrame(int Fd, std::vector<uint8_t> &Payload);
 
+/// Extracts one complete frame payload from the front of \p Buf, for
+/// readers that buffer non-blocking reads. True when a frame was taken;
+/// \p Bad flags an unrecoverable stream (bad magic / oversized length) —
+/// the connection must be dropped.
+bool takeFrame(std::string &Buf, std::vector<uint8_t> &Payload, bool &Bad);
+
 } // namespace server
 } // namespace taj
 

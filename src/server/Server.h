@@ -28,21 +28,18 @@
 ///    config overrides are re-encoded through the canonical
 ///    encodeRunOptions() form, so a server request is bit-for-bit the
 ///    run a batch worker would have performed;
-///  - supervision: the Supervisor's non-cooperative discipline, re-hosted
-///    on the pool — a per-request watchdog (hard deadline derived from
-///    the request's cooperative deadline via deriveHardLimits: 2x + 1s,
-///    TAJ_HARD_DEADLINE_MS / TAJ_WATCHDOG_GRACE_MS overridable) with
-///    SIGTERM -> SIGKILL escalation, six-way exit classification of dead
-///    workers (supervise::classifyWaitStatus) mapped onto protocol
-///    status codes, and the same degraded-config retry ladder
-///    (degradeForRetry) before a crash/timeout/OOM becomes the client's
-///    answer. RLIMIT backstops remain batch-only: a pre-forked worker
-///    serves requests with different budgets, and rlimits cannot be
-///    raised back once lowered. Workers do install the allocation-failure
-///    OOM handler, so bad_alloc still dies as WorkerOomExitCode -> `oom`;
+///  - supervision: the worker pool (server/Pool.h) that also runs the
+///    supervised batch — a per-request watchdog (hard deadline derived
+///    from the request's cooperative deadline via deriveHardLimits: 2x +
+///    1s, TAJ_HARD_DEADLINE_MS / TAJ_WATCHDOG_GRACE_MS overridable) with
+///    SIGTERM -> SIGKILL escalation, per-request RLIMIT_AS / RLIMIT_CPU
+///    soft limits in the worker, six-way exit classification of dead
+///    workers (supervise::classifyWaitStatus) mapped onto protocol status
+///    codes, and the degraded-config retry ladder (degradeForRetry) before
+///    a crash/timeout/OOM becomes the client's answer;
 ///  - isolation: a crashed worker takes its hot tier with it and is
-///    respawned; the daemon, the queue and the other workers are
-///    unaffected;
+///    replaced by a fresh one when the next request needs it; the daemon,
+///    the queue and the other workers are unaffected;
 ///  - drain: SIGTERM/SIGINT stops accepting (socket closed + unlinked),
 ///    answers queued requests `shutting-down`, lets in-flight requests
 ///    finish, reaps the pool, flushes the journal/stats/trace artifacts,
@@ -60,38 +57,31 @@
 #ifndef TAJ_SERVER_SERVER_H
 #define TAJ_SERVER_SERVER_H
 
-#include "server/Protocol.h"
-#include "server/Service.h"
+#include "server/Pool.h"
 
-#include <cstdint>
 #include <string>
+#include <vector>
 
 namespace taj {
 namespace server {
 
-/// Everything the daemon needs: transport, pool shape, admission bounds,
-/// the base analysis options requests override, cache configuration and
-/// artifact destinations.
+/// The daemon's own settings: transport, admission bound and the base
+/// analysis options requests override. The pool's (size, retries, cache,
+/// hot tier, journal) come as PoolOptions.
 struct ServerOptions {
   std::string SocketPath;
-  unsigned PoolSize = 2;
   unsigned QueueDepth = 16;
-  unsigned MaxRetries = 1;
   RunOptions Base;
-  std::string CacheDir; ///< "" = no disk tier (workers run mem-only)
-  uint64_t CacheMaxMb = 0;
-  uint64_t CacheGraceMs = 0;
-  bool CacheGraceSet = false;
-  uint64_t HotMaxMb = 256; ///< per-worker hot-tier byte cap (0 = uncapped)
-  std::string JournalPath;
-  std::string StatsJsonPath;
-  std::string TracePath;
 };
 
 /// Runs the daemon until a drain signal, serving requests on
-/// O.SocketPath. Returns the process exit code: 0 after a clean drain,
-/// ExitError when the socket cannot be set up.
-int runServer(const ServerOptions &O);
+/// O.SocketPath from a pool of \p Workers. On return \p Merged holds
+/// every served request's counters plus the server.* ones and
+/// \p TraceBlobs the workers' trace events, for the caller's --stats-json
+/// / --trace. Returns the process exit code: 0 after a clean drain,
+/// ExitError when the socket or the pool cannot be set up.
+int runServer(const ServerOptions &O, PoolOptions Workers, Stats &Merged,
+              std::vector<std::string> &TraceBlobs);
 
 } // namespace server
 } // namespace taj

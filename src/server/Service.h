@@ -94,7 +94,7 @@ OptionParse parseRunOption(const char *Arg, RunOptions &O);
 bool buildConfig(const RunOptions &O, AnalysisConfig &C);
 
 /// Re-encodes \p O as the canonical flag list parseRunOption() accepts:
-/// the wire form for supervised worker argv and server request overrides.
+/// the wire form of worker-pool tasks and server request overrides.
 /// A round trip through encode+parse reproduces the run exactly.
 std::vector<std::string> encodeRunOptions(const RunOptions &O);
 

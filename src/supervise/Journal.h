@@ -75,13 +75,11 @@ struct Attempt {
 /// broken journal must not take down the batch it exists to protect).
 class Journal {
 public:
-  Journal() = default;
   explicit Journal(std::string Path) : Path(std::move(Path)) {}
   ~Journal();
   Journal(const Journal &) = delete;
   Journal &operator=(const Journal &) = delete;
 
-  bool configured() const { return !Path.empty(); }
   void append(const Attempt &A);
 
   /// Serializes \p A as one JSONL line (no trailing newline).

@@ -1,36 +1,22 @@
-//===- supervise/Supervisor.h - Process-isolated batch executor -*- C++ -*-===//
+//===- supervise/Supervisor.h - Worker supervision primitives --*- C++ -*-===//
 //
 // Part of the TAJ reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The non-cooperative half of TAJ's bounded-analysis discipline (§6).
-/// RunGuard degrades a run gracefully — but only at checkpoints the run
-/// actually reaches. A segfault, an OOM kill, or a hard hang between
-/// checkpoints is outside its reach, and in a batch it used to take every
-/// remaining app down with it. The Supervisor closes that gap by running
-/// each batch app in a forked worker process (a self-exec of taj-cli in
-/// single-app mode) under:
+/// The supervision primitives of the worker pool (server/Pool.h), the
+/// non-cooperative half of TAJ's bounded-analysis discipline (§6):
+/// RunGuard degrades a run gracefully, but only at checkpoints the run
+/// reaches. A segfault, an OOM kill or a hard hang between checkpoints is
+/// outside its reach; these pieces let a parent process survive, bound
+/// and classify such a worker:
 ///
-///  - a wall-clock watchdog: SIGTERM at the hard deadline, SIGKILL after
-///    a grace period — a backstop roughly 2x the cooperative deadline;
-///  - rlimit ceilings (RLIMIT_AS / RLIMIT_CPU) derived from the
-///    cooperative memory/deadline limits, so even a worker that never
-///    checkpoints cannot exceed its budget;
 ///  - exit classification from the wait status (clean / truncated /
 ///    error / crashed(signal) / timeout / oom);
-///  - a retry ladder: crashed, timed-out and OOM-killed apps re-run once
-///    (configurable) with a degraded config (RunGuard::DegradationPreset:
-///    halved call-graph budget, local-only string analysis, one thread,
-///    fault injection stripped) before being marked failed;
-///  - an append-only JSONL journal (supervise/Journal.h) making the batch
-///    resumable after the supervisor itself is killed.
-///
-/// Workers run concurrently up to --jobs, sharing the content-addressed
-/// artifact cache; per-app output is captured to temp files and emitted
-/// in batch-list order, so `--jobs=1` is byte-identical to the in-process
-/// batch loop (`--jobs=0`) and any -jN run prints the same stdout.
+///  - the backstop limits derived from the cooperative ones (hard
+///    deadline for the watchdog, RLIMIT_AS / RLIMIT_CPU ceilings);
+///  - recovery of a worker's counters, and the worker-side OOM handler.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,69 +28,38 @@
 #include "support/Stats.h"
 
 #include <string>
-#include <vector>
 
 namespace taj {
 namespace supervise {
 
-/// One batch entry: the .taj files forming one app.
-struct AppTask {
-  std::string Name; ///< display name: files joined by spaces
-  std::vector<std::string> Files;
-};
-
 /// Reserved worker exit code announcing an allocation failure while
-/// running under the supervisor's RLIMIT_AS ceiling (the worker installs
+/// running under the pool's RLIMIT_AS ceiling (the worker installs
 /// a new-handler that dies with this code; see installWorkerOomHandler).
 /// Outside the 0/1/2 CLI exit contract, so it cannot be confused with a
 /// real analysis outcome.
 constexpr int WorkerOomExitCode = 17;
 
-/// Exit code of the forked child when exec of the worker itself failed.
+/// Exit code reserved for a child that could not start the worker at
+/// all; it classifies as a plain error.
 constexpr int WorkerSpawnFailExitCode = 127;
 
 /// Pure classification of a worker's waitpid status. \p WatchdogKilled
-/// tells whether the supervisor's watchdog delivered the fatal signal.
+/// tells whether the pool's watchdog delivered the fatal signal.
 /// SIGXCPU is a timeout (the RLIMIT_CPU backstop); an un-asked-for
 /// SIGKILL is the kernel OOM killer's signature; WorkerOomExitCode is the
 /// worker self-reporting allocation failure under RLIMIT_AS.
 ExitClass classifyWaitStatus(int WaitStatus, bool WatchdogKilled);
 
-/// Everything the supervisor needs besides the app list.
+/// The non-cooperative backstop limits of one task (deriveHardLimits).
 struct SupervisorConfig {
-  /// Path to the taj-cli binary to self-exec (resolveSelfExe()).
-  std::string CliPath;
-  /// Per-app worker flags for first attempts (config + cache + governance
-  /// + fault-injection flags; app files are appended per task).
-  std::vector<std::string> BaseArgs;
-  /// Degraded flags for retry attempts (RunGuard::degradationForAttempt
-  /// applied; fault-injection env is additionally stripped in the child).
-  std::vector<std::string> RetryArgs;
-  /// Fingerprint of the batch config, stamped into journal records.
-  std::string ConfigFp;
-  /// Concurrent workers (>= 1).
-  unsigned Jobs = 1;
-  /// Re-runs granted to a crashed / timed-out / OOM-killed app.
-  unsigned MaxRetries = 1;
   /// Watchdog wall-clock limit per attempt in ms (0 = no watchdog).
   double HardDeadlineMs = 0;
   /// SIGTERM -> SIGKILL escalation grace in ms.
   double GraceMs = 2000;
-  /// RLIMIT_AS ceiling in bytes (0 = none).
+  /// RLIMIT_AS headroom in bytes (0 = none).
   uint64_t HardMemoryBytes = 0;
-  /// RLIMIT_CPU ceiling in seconds (0 = none).
+  /// RLIMIT_CPU headroom in seconds (0 = none).
   uint64_t CpuLimitSec = 0;
-  /// Journal path ("" = no journal; required for Resume).
-  std::string JournalPath;
-  /// Skip apps the journal already holds a terminal record for.
-  bool Resume = false;
-  /// Fold every worker's --stats-json counters into MergedStats.
-  Stats *MergedStats = nullptr;
-  /// Hand every worker a --trace=<temp> flag and collect the event blobs
-  /// of the finished workers (takeTraceBlobs()) so the caller can write
-  /// one merged batch timeline. Worker events carry their own pid and
-  /// absolute monotonic timestamps, so they align with the supervisor's.
-  bool CollectTraces = false;
 };
 
 /// Fills the non-cooperative backstop limits of \p C from the cooperative
@@ -115,14 +70,10 @@ struct SupervisorConfig {
 /// watchdog even for runs with no cooperative limits.
 void deriveHardLimits(const RunGuard::Limits &Coop, SupervisorConfig &C);
 
-/// Resolves the running executable's path (/proc/self/exe, falling back
-/// to \p Argv0) for worker self-exec.
-std::string resolveSelfExe(const char *Argv0);
-
-/// Recovers a finished worker's --stats-json counters: merges everything
-/// that parsed into \p Merged (when non-null) and returns the worker's
-/// cli.issues count. An empty \p StatsText is normal (a crashed worker
-/// usually never wrote its stats file) and not an error. Malformed JSON
+/// Recovers a finished worker's counters (a Stats JSON object): merges
+/// everything that parsed into \p Merged (when non-null) and returns the
+/// worker's cli.issues count. An empty \p StatsText is normal (a dead
+/// worker sends none) and not an error. Malformed JSON
 /// increments \p ParseFailures and emits a stderr diagnostic naming
 /// \p App — the counters that did parse are still merged, so a torn
 /// write surfaces instead of silently dropping the worker's data.
@@ -130,40 +81,11 @@ uint64_t recoverWorkerStats(const std::string &StatsText,
                             const std::string &App, Stats *Merged,
                             uint64_t &ParseFailures);
 
-/// Worker-side arming, called by taj-cli main() when spawned under a
-/// supervisor (TAJ_SUPERVISED_WORKER=1): installs a new-handler that
-/// turns an allocation failure under RLIMIT_AS into a deterministic
-/// _exit(WorkerOomExitCode) instead of an uncatchable bad_alloc abort.
+/// Worker-side arming, called by every pool worker at start: installs a
+/// new-handler that turns an allocation failure under RLIMIT_AS into a
+/// deterministic _exit(WorkerOomExitCode) instead of an uncatchable
+/// bad_alloc abort.
 void installWorkerOomHandler();
-
-/// Runs batches of supervised workers. Not thread-safe; one per process.
-class Supervisor {
-public:
-  explicit Supervisor(SupervisorConfig C) : C(std::move(C)) {}
-
-  /// Runs every app of \p Apps to a terminal outcome, printing the
-  /// standard batch framing ("=== name" / captured report / "--- name:
-  /// exit=E issues=N") in list order, and returns the worst-of exit code
-  /// (error > truncated > clean).
-  int runBatch(const std::vector<AppTask> &Apps);
-
-  /// Exports supervise.{spawned,crashed,timed_out,oom_killed,retried,
-  /// recovered,resumed_skips,stats_parse_failed} counters.
-  void exportStats(Stats &S) const;
-
-  /// The collected worker trace-event blobs (CollectTraces only), in
-  /// finish order, ready for trace::writeJsonMerged(). Moves them out.
-  std::vector<std::string> takeTraceBlobs() { return std::move(TraceBlobs); }
-
-private:
-  SupervisorConfig C;
-  struct Counters {
-    uint64_t Spawned = 0, Crashed = 0, TimedOut = 0, OomKilled = 0,
-             Retried = 0, Recovered = 0, ResumedSkips = 0,
-             StatsParseFailed = 0;
-  } N;
-  std::vector<std::string> TraceBlobs;
-};
 
 } // namespace supervise
 } // namespace taj

@@ -1,7 +1,7 @@
 //===- tests/model_test.cpp - Framework model & rule-set tests -----------===//
 //
-// Unit tests for the §4.2 framework models (Struts, EJB, whitelists,
-// entrypoint synthesis) and the external SecurityRuleSet API.
+// Unit tests for the §4.2 framework models (Struts, EJB, entrypoint
+// synthesis) and the external SecurityRuleSet API.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,7 +13,6 @@
 #include "model/Ejb.h"
 #include "model/Entrypoints.h"
 #include "model/Struts.h"
-#include "model/Whitelist.h"
 
 #include <gtest/gtest.h>
 
@@ -96,22 +95,6 @@ class B extends Object {}
   EXPECT_EQ(D.JndiBindings.size(), 1u);
   EXPECT_EQ(D.JndiBindings.at("ejb/x"), P.findClass("H"));
   EXPECT_EQ(D.HomeToBean.at(P.findClass("H")), P.findClass("B"));
-}
-
-TEST(Model, WhitelistByPrefix) {
-  Program P;
-  installBuiltinLibrary(P);
-  Builder B(P);
-  B.makeClass("org_apache_Util", P.findClass("Object"));
-  B.makeClass("org_apache_More", P.findClass("Object"));
-  B.makeClass("com_app_Main", P.findClass("Object"));
-  size_t N = applyWhitelist(P, {"org_apache_"});
-  EXPECT_EQ(N, 2u);
-  EXPECT_TRUE(
-      P.cls(P.findClass("org_apache_Util")).is(classflags::Whitelisted));
-  EXPECT_FALSE(P.cls(P.findClass("com_app_Main")).is(classflags::Whitelisted));
-  // Idempotent.
-  EXPECT_EQ(applyWhitelist(P, {"org_apache_"}), 0u);
 }
 
 TEST(Model, EntrypointDriverCoversAllEntries) {

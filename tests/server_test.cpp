@@ -17,8 +17,10 @@
 //    concurrent clients checked against a `--batch` baseline;
 //  - admission control answers `busy` when the queue is full, the
 //    watchdog turns a hung worker into a `timeout` answer plus a
-//    respawned worker, and a crashed request recovers through the retry
-//    ladder with a journaled non-terminal attempt;
+//    respawned worker, a crashed request recovers through the retry
+//    ladder with a journaled non-terminal attempt (also when the fault
+//    comes from the daemon's environment), and the RLIMIT_AS backstop
+//    answers `oom`;
 //  - SIGTERM drains: in-flight work resolved, artifacts written, exit 0,
 //    later connections cleanly refused;
 //  - SIGPIPE on a reader-less stdout is an error exit, not a signal death.
@@ -111,6 +113,32 @@ long long statOf(const std::string &JsonPath, const std::string &Name) {
     return -1;
   return std::atoll(J.c_str() + At + Needle.size());
 }
+
+/// Writes the example app replicated \p K times, classes renamed per
+/// copy: an app whose analysis needs several MB.
+std::string writeReplica(const TempDir &T, int K) {
+  const std::string Base = readWhole(TAJ_EXAMPLE_TAJ);
+  std::string Text;
+  for (int I = 0; I < K; ++I) {
+    std::string Copy = Base;
+    const std::string Tag = "Profile" + std::to_string(I);
+    for (size_t At = Copy.find("Profile"); At != std::string::npos;
+         At = Copy.find("Profile", At + Tag.size()))
+      Copy.replace(At, 7, Tag);
+    Text += Copy;
+  }
+  std::string Path = T.Path + "/replica.taj";
+  writeWhole(Path, Text);
+  return Path;
+}
+
+/// RLIMIT_AS cannot be exercised under ASan/TSan: the runtime's own
+/// allocator fails first and reports instead of returning null.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool SanitizedBuild = true;
+#else
+constexpr bool SanitizedBuild = false;
+#endif
 
 /// Forks and execs taj-cli with \p Args, stdout/stderr redirected to files
 /// ("" keeps the test's own), with optional extra environment. Returns the
@@ -752,6 +780,37 @@ TEST(Serve, CrashedRequestRecoversThroughTheRetryLadder) {
   }
   EXPECT_TRUE(SawCrash);
   EXPECT_TRUE(SawRecovery);
+}
+
+TEST(Serve, RetryStripsFaultInjectionFromTheEnvironment) {
+  // The daemon's own environment asks for a crash: the first attempt
+  // crashes, and the degraded retry must run without the variable.
+  TempDir T;
+  ServerHandle S;
+  ASSERT_TRUE(S.start(T, {"--pool-size=1"}, {{"TAJ_CRASH_AT", "1"}}));
+  const std::string StatsPath = T.Path + "/c.json";
+  pid_t C = spawnCli({"--connect=" + S.Sock, "--stats-json=" + StatsPath,
+                      TAJ_EXAMPLE_TAJ},
+                     T.Path + "/c.out", T.Path + "/c.err");
+  EXPECT_EQ(waitExit(C), 0) << readWhole(T.Path + "/c.err");
+  EXPECT_EQ(statOf(StatsPath, "cli.issues"), 3);
+  EXPECT_EQ(statOf(StatsPath, "server.retried"), 1);
+  EXPECT_EQ(S.stop(), 0);
+}
+
+TEST(Serve, AddressSpaceBackstopAnswersOom) {
+  if (SanitizedBuild)
+    GTEST_SKIP() << "sanitizer shadow memory defeats RLIMIT_AS";
+  TempDir T;
+  const std::string App = writeReplica(T, 64);
+  ServerHandle S;
+  ASSERT_TRUE(S.start(T, {"--pool-size=1", "--retry=0"},
+                      {{"TAJ_HARD_MAX_MEMORY_MB", "1"}}));
+  int Exit;
+  std::string Out = runCli("--connect=" + S.Sock + " " + App, Exit);
+  EXPECT_EQ(Exit, 1);
+  EXPECT_NE(Out.find("oom"), std::string::npos) << Out;
+  EXPECT_EQ(S.stop(), 0);
 }
 
 TEST(Serve, ServedRequestsBeforeARespawnDoNotPoisonTheNewWorker) {

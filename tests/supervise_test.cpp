@@ -1,12 +1,15 @@
 //===- tests/supervise_test.cpp - Process-level supervision --------------===//
 //
-// The supervisor is the non-cooperative backstop to RunGuard: a batch must
-// survive workers that crash, hang, or are OOM-killed between checkpoints.
+// The worker pool is the non-cooperative backstop to RunGuard: a batch
+// must survive workers that crash, hang, or are OOM-killed between
+// checkpoints.
 // These tests pin down that contract:
 //  - wait-status classification (clean / truncated / error / crashed /
 //    timeout / oom) over crafted statuses and real worker deaths;
-//  - the retry ladder: a crashed or hung app re-runs once, degraded, and
-//    recovers; with the budget spent it is a terminal error;
+//  - the retry ladder: a crashed or hung app re-runs once, degraded (fault
+//    injection stripped from flags and environment), and recovers; with
+//    the budget spent it is a terminal error;
+//  - the RLIMIT_AS backstop trips: an allocation past it ends as oom;
 //  - the JSONL journal round-trips, tolerates torn tails, and drives
 //    --resume (including after the supervisor itself is SIGKILLed);
 //  - --jobs=1 and --jobs=N stdout is byte-identical to the in-process
@@ -109,6 +112,32 @@ std::string writeList(const TempDir &T, int Copies) {
   writeWhole(Path, Text);
   return Path;
 }
+
+/// Writes the example app replicated \p K times, classes renamed per
+/// copy: an app whose analysis needs several MB.
+std::string writeReplica(const TempDir &T, int K) {
+  const std::string Base = readWhole(TAJ_EXAMPLE_TAJ);
+  std::string Text;
+  for (int I = 0; I < K; ++I) {
+    std::string Copy = Base;
+    const std::string Tag = "Profile" + std::to_string(I);
+    for (size_t At = Copy.find("Profile"); At != std::string::npos;
+         At = Copy.find("Profile", At + Tag.size()))
+      Copy.replace(At, 7, Tag);
+    Text += Copy;
+  }
+  std::string Path = T.Path + "/replica.taj";
+  writeWhole(Path, Text);
+  return Path;
+}
+
+/// RLIMIT_AS cannot be exercised under ASan/TSan: the runtime's own
+/// allocator fails first and reports instead of returning null.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool SanitizedBuild = true;
+#else
+constexpr bool SanitizedBuild = false;
+#endif
 
 /// Extracts an integer counter from a --stats-json file ("missing" = -1).
 long long statOf(const std::string &JsonPath, const std::string &Name) {
@@ -369,32 +398,37 @@ TEST(Supervised, CooperativeTruncationPassesThrough) {
 }
 
 TEST(Supervised, CrashedWorkerRetriesAndRecovers) {
-  TempDir T;
-  std::string List = writeList(T, 1);
-  std::string Journal = T.Path + "/j.jsonl";
-  std::string StatsPath = T.Path + "/s.json";
-  int Exit = 0;
-  std::string Out =
-      runCli("--batch=" + List + " --jobs=1 --crash-at=1 --retry=1 --journal=" +
-                 Journal + " --stats-json=" + StatsPath,
-             Exit);
-  EXPECT_EQ(Exit, 0) << Out;
-  EXPECT_NE(Out.find("exit=0 issues=3"), std::string::npos) << Out;
-  EXPECT_EQ(statOf(StatsPath, "supervise.spawned"), 2);
-  EXPECT_EQ(statOf(StatsPath, "supervise.crashed"), 1);
-  EXPECT_EQ(statOf(StatsPath, "supervise.retried"), 1);
-  EXPECT_EQ(statOf(StatsPath, "supervise.recovered"), 1);
-  EXPECT_EQ(statOf(StatsPath, "cli.issues"), 3);
+  // The fault arrives as a flag or through the environment; the degraded
+  // retry must strip it either way.
+  for (const std::string Fault : {"--crash-at=1 ", "TAJ_CRASH_AT=1 "}) {
+    SCOPED_TRACE(Fault);
+    TempDir T;
+    std::string List = writeList(T, 1);
+    std::string Journal = T.Path + "/j.jsonl";
+    std::string StatsPath = T.Path + "/s.json";
+    int Exit = 0;
+    std::string Out =
+        runCli(Fault + "--batch=" + List + " --jobs=1 --retry=1 --journal=" +
+                   Journal + " --stats-json=" + StatsPath,
+               Exit);
+    EXPECT_EQ(Exit, 0) << Out;
+    EXPECT_NE(Out.find("exit=0 issues=3"), std::string::npos) << Out;
+    EXPECT_EQ(statOf(StatsPath, "supervise.spawned"), 2);
+    EXPECT_EQ(statOf(StatsPath, "supervise.crashed"), 1);
+    EXPECT_EQ(statOf(StatsPath, "supervise.retried"), 1);
+    EXPECT_EQ(statOf(StatsPath, "supervise.recovered"), 1);
+    EXPECT_EQ(statOf(StatsPath, "cli.issues"), 3);
 
-  std::vector<Attempt> Recs = Journal::load(Journal);
-  ASSERT_EQ(Recs.size(), 2u);
-  EXPECT_EQ(Recs[0].Class, ExitClass::Crashed);
-  EXPECT_EQ(Recs[0].Signal, SIGABRT);
-  EXPECT_FALSE(Recs[0].Terminal);
-  EXPECT_EQ(Recs[1].Class, ExitClass::Clean);
-  EXPECT_EQ(Recs[1].AttemptNo, 2u);
-  EXPECT_EQ(Recs[1].Issues, 3u);
-  EXPECT_TRUE(Recs[1].Terminal);
+    std::vector<Attempt> Recs = Journal::load(Journal);
+    ASSERT_EQ(Recs.size(), 2u);
+    EXPECT_EQ(Recs[0].Class, ExitClass::Crashed);
+    EXPECT_EQ(Recs[0].Signal, SIGABRT);
+    EXPECT_FALSE(Recs[0].Terminal);
+    EXPECT_EQ(Recs[1].Class, ExitClass::Clean);
+    EXPECT_EQ(Recs[1].AttemptNo, 2u);
+    EXPECT_EQ(Recs[1].Issues, 3u);
+    EXPECT_TRUE(Recs[1].Terminal);
+  }
 }
 
 TEST(Supervised, ExhaustedRetriesAreTerminalErrors) {
@@ -421,6 +455,32 @@ TEST(Supervised, UnsolicitedSigkillClassifiesAsOom) {
   EXPECT_EQ(Exit, 1) << Out;
   EXPECT_NE(Out.find("(oom)"), std::string::npos) << Out;
   EXPECT_EQ(statOf(StatsPath, "supervise.oom_killed"), 1);
+}
+
+TEST(Supervised, AddressSpaceBackstopTripsAsOom) {
+  if (SanitizedBuild)
+    GTEST_SKIP() << "sanitizer shadow memory defeats RLIMIT_AS";
+  TempDir T;
+  const std::string App = writeReplica(T, 64);
+  const std::string List = T.Path + "/list.txt";
+  writeWhole(List, App + "\n" + App + "\n");
+  std::string StatsPath = T.Path + "/s.json";
+  int Exit = 0;
+  // 1 MB of headroom over the worker's address space: the first
+  // allocation past it fails and the worker dies as oom.
+  std::string Out = runCli("TAJ_HARD_MAX_MEMORY_MB=1 --batch=" + List +
+                               " --jobs=1 --retry=0 --stats-json=" +
+                               StatsPath,
+                           Exit);
+  EXPECT_EQ(Exit, 1) << Out;
+  size_t First = Out.find("(oom)");
+  ASSERT_NE(First, std::string::npos) << Out;
+  EXPECT_NE(Out.find("(oom)", First + 1), std::string::npos) << Out;
+  EXPECT_EQ(statOf(StatsPath, "supervise.oom_killed"), 2);
+  // Without the ceiling the same list runs clean.
+  Out = runCli("--batch=" + List + " --jobs=1 --retry=0", Exit);
+  EXPECT_EQ(Exit, 0) << Out;
+  EXPECT_EQ(Out.find("(oom)"), std::string::npos) << Out;
 }
 
 TEST(Supervised, HungWorkerHitsWatchdogTimeout) {
