@@ -83,32 +83,6 @@ void BM_HybridSlicing(benchmark::State &State) {
 }
 BENCHMARK(BM_HybridSlicing)->DenseRange(0, 7);
 
-/// Thread-count sweep of the parallel per-source engine over the largest
-/// suite app. The range argument is the worker count; compare against the
-/// /1 row for scaling (single-core machines will show no speedup — the
-/// engine's promise there is only that threading costs little).
-void BM_HybridSlicingThreads(benchmark::State &State) {
-  const AppSpec &Spec = appByIndex(5); // Roller, the largest app
-  GeneratedApp App = generateApp(Spec);
-  ClassHierarchy CHA(*App.P);
-  PointsToSolver Solver(*App.P, CHA);
-  Solver.solve({App.Root});
-  SlicerOptions Opts;
-  Opts.Threads = static_cast<uint32_t>(State.range(0));
-  verify::Violations Vio;
-  Opts.Verify = benchVerifyMode();
-  if (Opts.Verify != verify::VerifyMode::Off)
-    Opts.Violations = &Vio;
-  for (auto _ : State) {
-    SliceRunResult R = runHybridSlicer(*App.P, CHA, Solver, Opts);
-    benchmark::DoNotOptimize(R.Issues.size());
-  }
-  if (Vio.total() != 0)
-    State.SkipWithError("verify violations in clean benchmark run");
-  State.SetLabel(Spec.Name + "/threads=" + std::to_string(State.range(0)));
-}
-BENCHMARK(BM_HybridSlicingThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_CiSlicing(benchmark::State &State) {
   const AppSpec &Spec = appByIndex(State.range(0));
   GeneratedApp App = generateApp(Spec);

@@ -70,11 +70,6 @@ struct AnalysisConfig {
   /// one exit decision); when null, run() uses a private sink. Not owned.
   verify::Violations *Violations = nullptr;
 
-  /// Worker threads for the per-source slicing loops (1 = sequential,
-  /// 0 = auto: TAJ_THREADS env var, then hardware concurrency). Output is
-  /// byte-identical at every thread count.
-  uint32_t Threads = 1;
-
   /// Memory budget (channel nodes) for CS thin slicing.
   uint64_t CsChanBudget = 20000;
 
@@ -136,7 +131,7 @@ struct AnalysisConfig {
   /// Canonical encoding of the fields that additionally shape the SDG +
   /// heap-edge bundle (slicer kind, exception modeling, nested-taint
   /// depth, CS channel budget). Pure slicing bounds (flow length, heap
-  /// transitions, threads) are deliberately excluded so those runs reuse
+  /// transitions) are deliberately excluded so those runs reuse
   /// the SDG prefix.
   std::string sdgFingerprint() const;
 

@@ -45,20 +45,9 @@ ArtifactCache::ArtifactCache(std::string Dir, uint64_t MaxBytes,
          Ec ? Ec.message() : "not a directory");
 }
 
-void ArtifactCache::attachMemTier(MemCache *M) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Mem = M;
-}
+uint64_t ArtifactCache::memHits() const { return Mem ? Mem->hits() : 0; }
 
-uint64_t ArtifactCache::memHits() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Mem ? Mem->hits() : 0;
-}
-
-uint64_t ArtifactCache::memStores() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Mem ? Mem->stores() : 0;
-}
+uint64_t ArtifactCache::memStores() const { return Mem ? Mem->stores() : 0; }
 
 std::string ArtifactCache::makeKey(const char *Phase,
                                    const std::string &InputFp,
@@ -82,7 +71,6 @@ std::string ArtifactCache::pathFor(const std::string &Key) const {
 std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
                                                  ArtifactKind Kind) {
   trace::Span TS("cache-load: " + Key, "persist");
-  std::lock_guard<std::mutex> Lock(Mu);
   // Hot tier first: the payload was verified when it entered the tier, so
   // a hit skips the disk read and the checksum re-verify entirely.
   if (Mem) {
@@ -169,7 +157,6 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
 void ArtifactCache::store(const std::string &Key, ArtifactKind Kind,
                           const std::vector<uint8_t> &Payload) {
   trace::Span TS("cache-store: " + Key, "persist");
-  std::lock_guard<std::mutex> Lock(Mu);
   // The hot tier takes the raw payload (it never re-verifies); the disk
   // gets the wrapped, checksummed record.
   if (Mem)
@@ -209,7 +196,6 @@ void ArtifactCache::store(const std::string &Key, ArtifactKind Kind,
 }
 
 void ArtifactCache::noteRestoreFailure(const std::string &Key) {
-  std::lock_guard<std::mutex> Lock(Mu);
   ++Corrupt;
   diag("cache entry " + Key, "structural restore failed");
   if (Mem)
@@ -290,7 +276,6 @@ void ArtifactCache::evictToCap() {
 }
 
 void ArtifactCache::exportStats(Stats &S) const {
-  std::lock_guard<std::mutex> Lock(Mu);
   S.add("persist.hit", Hits);
   S.add("persist.miss", Misses);
   S.add("persist.store", Stores);

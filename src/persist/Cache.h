@@ -52,7 +52,6 @@
 
 #include "persist/Serialize.h"
 
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -102,7 +101,7 @@ public:
 
   /// Layers the in-memory hot tier \p M (not owned; must outlive the
   /// cache) over the disk. Pass nullptr to detach.
-  void attachMemTier(MemCache *M);
+  void attachMemTier(MemCache *M) { Mem = M; }
   MemCache *memTier() const { return Mem; }
 
   /// Composes the content address for one phase entry:
@@ -156,7 +155,6 @@ private:
   uint64_t EvictGraceMs;
   bool Enabled = false;
   MemCache *Mem = nullptr;
-  mutable std::mutex Mu;
   uint64_t Hits = 0, Misses = 0, Stores = 0, Evictions = 0, EvictSkipped = 0,
            Corrupt = 0, VersionMiss = 0, TouchFailed = 0;
 };

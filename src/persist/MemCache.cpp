@@ -8,7 +8,6 @@ using namespace taj;
 using namespace taj::persist;
 
 std::optional<std::vector<uint8_t>> MemCache::get(const std::string &Key) {
-  std::lock_guard<std::mutex> Lock(Mu);
   auto It = Index.find(Key);
   if (It == Index.end()) {
     ++Misses;
@@ -20,7 +19,6 @@ std::optional<std::vector<uint8_t>> MemCache::get(const std::string &Key) {
 }
 
 void MemCache::put(const std::string &Key, const uint8_t *Data, size_t Len) {
-  std::lock_guard<std::mutex> Lock(Mu);
   if (MaxBytes != 0 && Len > MaxBytes)
     return; // would evict the whole tier for one entry
   auto It = Index.find(Key);
@@ -35,11 +33,10 @@ void MemCache::put(const std::string &Key, const uint8_t *Data, size_t Len) {
     CurBytes += Len;
   }
   ++Stores;
-  evictToCapLocked();
+  evictToCap();
 }
 
 void MemCache::erase(const std::string &Key) {
-  std::lock_guard<std::mutex> Lock(Mu);
   auto It = Index.find(Key);
   if (It == Index.end())
     return;
@@ -48,7 +45,7 @@ void MemCache::erase(const std::string &Key) {
   Index.erase(It);
 }
 
-void MemCache::evictToCapLocked() {
+void MemCache::evictToCap() {
   if (MaxBytes == 0)
     return;
   while (CurBytes > MaxBytes && !Lru.empty()) {
@@ -60,38 +57,7 @@ void MemCache::evictToCapLocked() {
   }
 }
 
-uint64_t MemCache::hits() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Hits;
-}
-
-uint64_t MemCache::misses() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Misses;
-}
-
-uint64_t MemCache::stores() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Stores;
-}
-
-uint64_t MemCache::evictions() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Evictions;
-}
-
-uint64_t MemCache::bytes() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return CurBytes;
-}
-
-uint64_t MemCache::entries() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Lru.size();
-}
-
 void MemCache::exportStats(Stats &S) const {
-  std::lock_guard<std::mutex> Lock(Mu);
   S.add("persist.mem_hit", Hits);
   S.add("persist.mem_miss", Misses);
   S.add("persist.mem_store", Stores);

@@ -19,10 +19,6 @@
 /// only invalidation path is noteRestoreFailure() on the owning
 /// ArtifactCache, which drops the key from both tiers.
 ///
-/// Thread safety: all operations are mutex-protected; the tier may be
-/// probed concurrently by parallel slicing threads through the owning
-/// cache.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef TAJ_PERSIST_MEMCACHE_H
@@ -30,7 +26,6 @@
 
 #include <cstdint>
 #include <list>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -60,14 +55,14 @@ public:
   /// Drops \p Key (restore-failure invalidation; no-op when absent).
   void erase(const std::string &Key);
 
-  uint64_t hits() const;
-  uint64_t misses() const;
-  uint64_t stores() const;
-  uint64_t evictions() const;
+  uint64_t hits() const { return Hits; }
+  uint64_t misses() const { return Misses; }
+  uint64_t stores() const { return Stores; }
+  uint64_t evictions() const { return Evictions; }
   /// Current summed payload bytes.
-  uint64_t bytes() const;
+  uint64_t bytes() const { return CurBytes; }
   /// Current entry count.
-  uint64_t entries() const;
+  uint64_t entries() const { return Lru.size(); }
 
   /// Exports persist.mem_{hit,miss,store,evict} counters.
   void exportStats(Stats &S) const;
@@ -78,11 +73,10 @@ private:
     std::vector<uint8_t> Payload;
   };
 
-  /// Evicts from the LRU tail until CurBytes <= MaxBytes. Caller holds Mu.
-  void evictToCapLocked();
+  /// Evicts from the LRU tail until CurBytes <= MaxBytes.
+  void evictToCap();
 
   uint64_t MaxBytes;
-  mutable std::mutex Mu;
   std::list<Entry> Lru; ///< front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> Index;
   uint64_t CurBytes = 0;

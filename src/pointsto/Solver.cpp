@@ -45,8 +45,7 @@ PointsToSolver::PointsToSolver(const Program &P, const ClassHierarchy &CHA,
   RunSym = internSym("run");
   if (!this->Opts.ConstStrings) {
     // No precomputed facts (directly constructed solver): fall back to
-    // the historical per-method ConstStr+Copy inference. Computed eagerly
-    // so post-solve queries stay safe from any thread.
+    // the historical per-method ConstStr+Copy inference.
     ConstStringOptions CSO;
     CSO.Mode = StringAnalysisMode::Local;
     OwnedConstStr = std::make_unique<ConstStringResult>(
@@ -101,7 +100,6 @@ const std::vector<IKId> &PointsToSolver::pointsToOfLocal(CGNodeId N,
   // set, so nothing is created on this post-solve path.
   const uint64_t Key =
       (static_cast<uint64_t>(N) << 32) | static_cast<uint32_t>(V);
-  std::lock_guard<std::mutex> Lock(CacheMu);
   auto It = LocalCache.find(Key);
   if (It != LocalCache.end())
     return It->second;
@@ -116,7 +114,6 @@ const std::vector<IKId> &PointsToSolver::pointsToMerged(MethodId M,
                                                         ValueId V) const {
   const uint64_t Key =
       (static_cast<uint64_t>(M) << 32) | static_cast<uint32_t>(V);
-  std::lock_guard<std::mutex> Lock(CacheMu);
   auto It = MergedCache.find(Key);
   if (It != MergedCache.end()) {
     Counters.addTo(HMergedCacheHits);
@@ -357,8 +354,8 @@ void PointsToSolver::solve(const std::vector<MethodId> &Entries) {
     Prio->onNodeProcessed(N);
   }
   propagate();
-  // Fully compress the representative mapping so the (possibly concurrent)
-  // post-solve query surface resolves any PKId in one read.
+  // Fully compress the representative mapping so the post-solve query
+  // surface resolves any PKId in one read.
   for (PKId I = 0; I < RepParent.size(); ++I)
     RepParent[I] = find(static_cast<PKId>(I));
 }

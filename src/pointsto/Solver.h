@@ -38,7 +38,6 @@
 #include "support/Stats.h"
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -112,11 +111,11 @@ public:
 
   /// Union of pointsTo over every context of method \p M for value \p V —
   /// the flow-insensitive projection used for HSDG direct edges. Memoized
-  /// per (method, value); safe for concurrent readers post-solve.
+  /// per (method, value).
   const std::vector<IKId> &pointsToMerged(MethodId M, ValueId V) const;
 
   /// Points-to set of value \p V in call-graph node \p N (context-precise).
-  /// Memoized per (node, value); safe for concurrent readers post-solve.
+  /// Memoized per (node, value).
   const std::vector<IKId> &pointsToOfLocal(CGNodeId N, ValueId V) const;
 
   /// True if any context of \p M had its constraints added (statements of
@@ -321,7 +320,6 @@ private:
   /// Memoized query-surface materializations (tentpole change 3): SDG and
   /// heap-edge construction ask for the same (method, value) / (node,
   /// value) sets once per referencing statement.
-  mutable std::mutex CacheMu;
   mutable std::unordered_map<uint64_t, std::vector<IKId>> MergedCache;
   mutable std::unordered_map<uint64_t, std::vector<IKId>> LocalCache;
 

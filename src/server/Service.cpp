@@ -72,8 +72,6 @@ OptionParse server::parseRunOption(const char *A, RunOptions &O) {
     return Bad(parseU32("--max-flow-length", A + 18, O.MaxLen));
   if (std::strncmp(A, "--nested-depth=", 15) == 0)
     return Bad(parseU32("--nested-depth", A + 15, O.NestedDepth));
-  if (std::strncmp(A, "--threads=", 10) == 0)
-    return Bad(parseU32("--threads", A + 10, O.Threads));
   if (std::strncmp(A, "--deadline-ms=", 14) == 0)
     return Bad(parseNum("--deadline-ms", A + 14, O.DeadlineMs));
   if (std::strncmp(A, "--max-memory-mb=", 16) == 0)
@@ -137,7 +135,6 @@ bool server::buildConfig(const RunOptions &O, AnalysisConfig &C) {
   if (O.MaxLen)
     C.MaxFlowLength = O.MaxLen;
   C.NestedTaintDepth = O.NestedDepth;
-  C.Threads = O.Threads; // 0 defers to TAJ_THREADS / hardware concurrency
   // Explicit flags win over the TAJ_* environment (TaintAnalysis overlays
   // the environment only onto unset limits, since flags default to 0 the
   // overlay applies exactly when no flag was given).
@@ -164,7 +161,6 @@ std::vector<std::string> server::encodeRunOptions(const RunOptions &O) {
   if (O.MaxLen)
     A.push_back("--max-flow-length=" + std::to_string(O.MaxLen));
   A.push_back("--nested-depth=" + std::to_string(O.NestedDepth));
-  A.push_back("--threads=" + std::to_string(O.Threads));
   if (O.DeadlineMs > 0)
     A.push_back("--deadline-ms=" + std::to_string(O.DeadlineMs));
   if (O.MaxMemoryMb)
@@ -221,8 +217,6 @@ RunOptions server::degradeForRetry(const RunOptions &O) {
   if (D.ForceLocalStringAnalysis &&
       R.StringAnalysis == StringAnalysisMode::Ipa)
     R.StringAnalysis = StringAnalysisMode::Local;
-  if (D.ForceSingleThread)
-    R.Threads = 1;
   if (D.StripFaultInjection)
     R.FailAt = R.CrashAt = R.HangAt = 0;
   return R;

@@ -67,7 +67,6 @@ constexpr uint64_t MaxExactU64 = 1ull << 53;
 struct RunOptions {
   std::string ConfigName = "hybrid";
   uint32_t Budget = 0, MaxLen = 0, NestedDepth = 32;
-  uint32_t Threads = 0; // 0 = auto (TAJ_THREADS, then hardware concurrency)
   double DeadlineMs = 0;
   uint64_t MaxMemoryMb = 0, FailAt = 0, CrashAt = 0, HangAt = 0;
   StringAnalysisMode StringAnalysis = StringAnalysisMode::Ipa;
@@ -100,14 +99,13 @@ std::vector<std::string> encodeRunOptions(const RunOptions &O);
 
 /// Fingerprint of the result-relevant configuration, stamped into journal
 /// records so --resume (and the server journal) never trusts records from
-/// a differently-configured run. Threads and --stats are excluded: they
-/// do not change per-app results.
+/// a differently-configured run. --stats is excluded: it does not change
+/// per-app results.
 std::string optionsFingerprint(const RunOptions &O);
 
 /// The degraded flag set for retry attempts, derived from the shared
 /// RunGuard degradation preset: halved effective call-graph budget,
-/// local-only string analysis, one slicing thread, fault injection
-/// stripped.
+/// local-only string analysis, fault injection stripped.
 RunOptions degradeForRetry(const RunOptions &O);
 
 /// One input of an app: a file path, or an inline source shipped over the

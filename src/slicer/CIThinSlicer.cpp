@@ -136,7 +136,7 @@ SliceRunResult taj::runCiSlicer(const Program &P, const ClassHierarchy &CHA,
   PhaseScope PS(Opts.Profile, "slicing");
   std::vector<SliceItem> Items = slicer_detail::collectSliceItems(G);
   slicer_detail::runSliceItems(
-      Opts.Threads, Items, Guard, Out,
+      Items, Guard, Out,
       [&](slicer_detail::SliceWorkerState &WS, const SliceItem &It,
           std::vector<Issue> &Buf, uint64_t &Edges,
           slicer_detail::SliceCounts &C) {

@@ -102,7 +102,7 @@ SliceRunResult taj::runCsSlicer(const Program &P, const ClassHierarchy &CHA,
   std::vector<SliceItem> Items = slicer_detail::collectSliceItems(G);
   const std::vector<uint32_t> StorePos = slicer_detail::storePositions(G);
   slicer_detail::runSliceItems(
-      Opts.Threads, Items, Guard, Out,
+      Items, Guard, Out,
       [&](slicer_detail::SliceWorkerState &WS, const SliceItem &It,
           std::vector<Issue> &Buf, uint64_t &PathEdges,
           slicer_detail::SliceCounts &C) {

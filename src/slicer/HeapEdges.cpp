@@ -97,8 +97,8 @@ HeapEdges::HeapEdges(const Program &P, const SDG &G,
     for (IKId IK : HG.reachable(ArgIKs, NestedDepth - 1))
       IkToSinks[IK].push_back(SkNode);
   }
-  // Materialize every store's adjacency now, while still single-threaded:
-  // slicing workers must only ever read this object.
+  // Materialize every store's adjacency now: slicing only ever reads this
+  // object.
   for (SDGNodeId St : G.storeNodes())
     computeStore(St, Guard);
 }

@@ -132,7 +132,7 @@ SliceRunResult taj::runHybridSlicer(const Program &P,
   std::vector<SliceItem> Items = slicer_detail::collectSliceItems(G);
   const std::vector<uint32_t> StorePos = slicer_detail::storePositions(G);
   slicer_detail::runSliceItems(
-      Opts.Threads, Items, Guard, Out,
+      Items, Guard, Out,
       [&](slicer_detail::SliceWorkerState &WS, const SliceItem &It,
           std::vector<Issue> &Buf, uint64_t &PathEdges,
           slicer_detail::SliceCounts &C) {

@@ -37,13 +37,6 @@ struct SlicerOptions {
   /// Optional run-governance guard; polled during SDG construction and
   /// every traversal loop. Not owned.
   RunGuard *Guard = nullptr;
-  /// Worker threads for the per-source slicing loops. 1 (default) slices
-  /// on the calling thread; 0 resolves to TAJ_THREADS / hardware
-  /// concurrency. The SDG, heap graph and heap edges are always built
-  /// once, single-threaded, before the fan-out, and per-worker results are
-  /// merged deterministically, so the output is byte-identical at every
-  /// thread count.
-  uint32_t Threads = 1;
   /// Max store->load hop expansions during hybrid slicing (§6.2.1).
   uint32_t MaxHeapTransitions = 0;
   /// Flows longer than this are dropped (§6.2.2).

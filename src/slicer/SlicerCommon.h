@@ -6,9 +6,8 @@
 ///
 /// \file
 /// Helpers shared by the three slicer implementations: flow-path
-/// reconstruction for LCP report grouping, and the parallel per-source
-/// slicing engine (work-item collection, worker fan-out, deterministic
-/// merge).
+/// reconstruction for LCP report grouping, and the per-source slicing
+/// engine (work-item collection, the slice loop, deterministic merge).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +19,6 @@
 #include "sdg/SDG.h"
 #include "slicer/Issue.h"
 #include "slicer/Slicer.h"
-#include "support/Parallel.h"
 #include "support/RunGuard.h"
 #include "support/Stats.h"
 
@@ -111,7 +109,7 @@ reconstructPath(const SDG &G, const std::vector<SDGNodeId> &Parent,
 }
 
 /// Position of every store node in G.storeNodes(), indexed by SDG node
-/// (NotAStore for other nodes). Built once per run, before the fan-out.
+/// (NotAStore for other nodes). Built once per run, before the slice loop.
 inline constexpr uint32_t NotAStore = ~0u;
 inline std::vector<uint32_t> storePositions(const SDG &G) {
   std::vector<uint32_t> Pos(G.numNodes(), NotAStore);
@@ -134,28 +132,23 @@ inline void reachedStores(const Tabulation::SliceResult &R, size_t From,
 }
 
 //===----------------------------------------------------------------------===//
-// Parallel per-source slicing engine
+// Per-source slicing engine
 //===----------------------------------------------------------------------===//
 //
 // All three slicers share the same outer shape: after the SDG / heap-edge
 // build, a strictly read-only traversal runs per (rule, source) pair. The
-// engine below fans those pairs out across a pool of workers and merges
-// the per-item issue buffers back into the exact sequence the sequential
-// rule-major loops would have produced:
+// engine below runs those pairs in one loop:
 //
 //  - items are collected rule-major (rule bit outer, sourceNodes() order
-//    inner), matching the sequential iteration order;
-//  - worker w statically takes items w, w+T, w+2T, ... and appends each
-//    item's issues — every Record attempt surviving the flow-length
-//    filter, in discovery order — to a buffer private to that item;
-//  - the merge walks items in sequential order through one dedup set
-//    (first occurrence wins, as in the sequential loops) and finally
-//    sorts, so the output is byte-identical at every thread count;
+//    inner);
+//  - each item appends its issues — every Record attempt surviving the
+//    flow-length filter, in discovery order — to a scratch buffer, which
+//    is merged through one dedup set (first occurrence wins) before the
+//    final sort;
 //  - under a guard cutoff, an item contributes only if it completed before
-//    the stop (worker-completion semantics): a worker observing the stop
-//    mid-item discards that item's buffer. Partial runs therefore stay
-//    strictly underapproximate, and the merged output is a pure function
-//    of the set of completed items.
+//    the stop: the item that observes the stop mid-way is discarded.
+//    Partial runs therefore stay strictly underapproximate, and the output
+//    is a pure function of the set of completed items.
 
 /// One unit of slicing work: one taint source under one security rule.
 struct SliceItem {
@@ -172,10 +165,10 @@ inline std::vector<SliceItem> collectSliceItems(const SDG &G) {
   return Items;
 }
 
-/// Worker-private state, reused across all items the worker slices:
+/// Slicing state reused across all items of a run:
 ///  - one memoized Tabulation per rule (RHS slicers), created on the first
-///    item of that rule the worker picks up, so summaries are reused across
-///    the worker's sources as the sequential per-rule loop reuses them;
+///    item of that rule, so summaries are reused across that rule's
+///    sources;
 ///  - dense per-item slice state, sized to the SDG once and reset in
 ///    O(reached) at the start of every item.
 struct SliceWorkerState {
@@ -221,7 +214,7 @@ void sliceOneHybrid(const SDG &G, const HeapEdges &HE,
                     const SliceItem &It, std::vector<Issue> &Buf,
                     uint64_t &PathEdges, SliceCounts &C);
 
-/// Fans \p Items across \p Threads workers and merges deterministically.
+/// Slices \p Items in order on one SliceWorkerState.
 ///
 /// \p Slice runs one item:
 ///   Slice(SliceWorkerState &, const SliceItem &, std::vector<Issue> &Buf,
@@ -230,54 +223,35 @@ void sliceOneHybrid(const SDG &G, const HeapEdges &HE,
 /// to Buf and adding the item's traversal work to PathEdges. Completed
 /// items are counted into Out.Counters (`slice.*`).
 template <class SliceFn>
-void runSliceItems(uint32_t Threads, const std::vector<SliceItem> &Items,
-                   RunGuard *Guard, SliceRunResult &Out, SliceFn Slice) {
-  unsigned W = resolveThreadCount(Threads);
-  if (W > Items.size() && !Items.empty())
-    W = static_cast<unsigned>(Items.size());
-  if (W == 0)
-    W = 1;
-
-  std::vector<SliceWorkerState> States(W);
-  std::vector<std::vector<Issue>> Buffers(Items.size());
-  std::vector<char> Completed(Items.size(), 0);
-  std::vector<uint64_t> Edges(W, 0);
-  // Interned before the fan-out: concurrent addTo() needs stable handles.
-  const Stats::Handle HItems = Out.Counters.handle("slice.items");
-  const Stats::Handle HRounds = Out.Counters.handle("slice.heap_rounds");
-  const Stats::Handle HHops = Out.Counters.handle("slice.heap_hops");
-  const Stats::Handle HCarriers = Out.Counters.handle("slice.carrier_hits");
-
-  parallelForInterleaved(W, Items.size(), [&](unsigned Worker, size_t I) {
-    // One checkpoint per item, as in the sequential per-source loops; a
-    // failing checkpoint (or an already-stopped guard) skips the item.
-    if (Guard && !Guard->checkpoint())
-      return;
-    SliceCounts C;
-    Slice(States[Worker], Items[I], Buffers[I], Edges[Worker], C);
-    if (Guard && Guard->stopped()) {
-      Buffers[I].clear(); // discard the in-flight partial: underapproximate
-      return;
-    }
-    Completed[I] = 1;
-    Out.Counters.addTo(HItems);
-    Out.Counters.addTo(HRounds, C.HeapRounds);
-    Out.Counters.addTo(HHops, C.HeapHops);
-    Out.Counters.addTo(HCarriers, C.CarrierHits);
-  });
-
-  // Deterministic merge: sequential item order through one dedup set
-  // (first occurrence keeps its Length/Path), then the final sort.
+void runSliceItems(const std::vector<SliceItem> &Items, RunGuard *Guard,
+                   SliceRunResult &Out, SliceFn Slice) {
+  SliceWorkerState WS;
+  std::vector<Issue> Buf;
   std::set<Issue> Dedup;
-  for (size_t I = 0; I < Items.size(); ++I) {
-    if (!Completed[I])
-      continue;
-    for (Issue &Iss : Buffers[I])
+  SliceCounts Total;
+  uint64_t Done = 0;
+  for (const SliceItem &It : Items) {
+    // One checkpoint per item; once the guard stops, every later item is
+    // skipped and the in-flight one is discarded: underapproximate.
+    if (Guard && !Guard->checkpoint())
+      break;
+    SliceCounts C;
+    Buf.clear();
+    Slice(WS, It, Buf, Out.PathEdges, C);
+    if (Guard && Guard->stopped())
+      break;
+    ++Done;
+    Total.HeapRounds += C.HeapRounds;
+    Total.HeapHops += C.HeapHops;
+    Total.CarrierHits += C.CarrierHits;
+    for (Issue &Iss : Buf)
       if (Dedup.insert(Iss).second)
         Out.Issues.push_back(std::move(Iss));
   }
-  for (uint64_t E : Edges)
-    Out.PathEdges += E;
+  Out.Counters.add("slice.items", Done);
+  Out.Counters.add("slice.heap_rounds", Total.HeapRounds);
+  Out.Counters.add("slice.heap_hops", Total.HeapHops);
+  Out.Counters.add("slice.carrier_hits", Total.CarrierHits);
   std::sort(Out.Issues.begin(), Out.Issues.end());
 }
 

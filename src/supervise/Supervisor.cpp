@@ -54,8 +54,8 @@ void supervise::deriveHardLimits(const RunGuard::Limits &Coop,
     C.HardMemoryBytes = static_cast<uint64_t>(std::atoll(E)) * 1024 * 1024;
   if ((E = std::getenv("TAJ_WATCHDOG_GRACE_MS")))
     C.GraceMs = std::atof(E);
-  // CPU backstop: generous (slicing may run many threads), but finite
-  // whenever a wall-clock watchdog is armed.
+  // CPU backstop: generous, but finite whenever a wall-clock watchdog is
+  // armed.
   C.CpuLimitSec = C.HardDeadlineMs > 0
                       ? (static_cast<uint64_t>(C.HardDeadlineMs) / 1000 + 1) *
                             16

@@ -39,10 +39,6 @@ namespace supervise {
 /// real analysis outcome.
 constexpr int WorkerOomExitCode = 17;
 
-/// Exit code reserved for a child that could not start the worker at
-/// all; it classifies as a plain error.
-constexpr int WorkerSpawnFailExitCode = 127;
-
 /// Pure classification of a worker's waitpid status. \p WatchdogKilled
 /// tells whether the pool's watchdog delivered the fatal signal.
 /// SIGXCPU is a timeout (the RLIMIT_CPU backstop); an un-asked-for

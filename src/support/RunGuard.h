@@ -72,8 +72,6 @@ struct DegradationPreset {
   double CallGraphBudgetScale = 0.5;
   /// Drop interprocedural string propagation to per-method local mode.
   bool ForceLocalStringAnalysis = true;
-  /// Pin slicing to one worker thread (lowest peak memory).
-  bool ForceSingleThread = true;
   /// Injected faults (--fail-at/--crash-at/--hang-at) are first-attempt
   /// scenarios; a retry must run without them or it can never recover.
   bool StripFaultInjection = true;
@@ -134,15 +132,8 @@ struct RunStatus {
 /// Governs one analysis run. Long-running loops call checkpoint(); once a
 /// limit trips, checkpoint() latches the cutoff and returns false forever,
 /// and every phase unwinds cooperatively. All limits are optional (zero
-/// disables). cancel() may be called from another thread.
-///
-/// Concurrency contract: checkpoint(), stopped(), cancel() and the cutoff
-/// accessors are safe from any number of threads (the parallel slicing
-/// workers all poll one guard). Phase bookkeeping — beginPhase() and
-/// workOf() — must only be called from the coordinating thread at phase
-/// boundaries, while no worker is checkpointing; within a phase the atomic
-/// global checkpoint counter attributes concurrent work to the phase that
-/// opened it.
+/// disables). The guard belongs to the thread running the analysis;
+/// cancel() is the one call that is safe from another thread.
 class RunGuard {
 public:
   struct Limits {
@@ -175,12 +166,12 @@ public:
   static Limits limitsFromEnv() { return limitsFromEnv(Limits()); }
 
   /// Marks the start of pipeline phase \p Ph; subsequent work (and a
-  /// cutoff, if one happens) is attributed to it. Coordinator-thread only.
+  /// cutoff, if one happens) is attributed to it.
   void beginPhase(RunPhase Ph) {
-    uint64_t C = Checkpoints.load(std::memory_order_relaxed);
-    PhaseWorkAcc[static_cast<size_t>(CurPhase)] += C - PhaseStartWork;
+    PhaseWorkAcc[static_cast<size_t>(CurPhase)] +=
+        Checkpoints - PhaseStartWork;
     CurPhase = Ph;
-    PhaseStartWork = C;
+    PhaseStartWork = Checkpoints;
   }
   RunPhase phase() const { return CurPhase; }
 
@@ -188,19 +179,17 @@ public:
   uint64_t workOf(RunPhase Ph) const {
     uint64_t W = PhaseWorkAcc[static_cast<size_t>(Ph)];
     if (Ph == CurPhase)
-      W += Checkpoints.load(std::memory_order_relaxed) - PhaseStartWork;
+      W += Checkpoints - PhaseStartWork;
     return W;
   }
 
   /// One unit of work. Returns true to continue, false once the run is
   /// stopped; cheap enough for per-iteration use in hot loops (deadline
-  /// and memory are polled every PollInterval checkpoints). Safe from any
-  /// thread; concurrent callers share one global checkpoint count, so a
-  /// fault-injection limit still trips at the Nth checkpoint overall.
+  /// and memory are polled every PollInterval checkpoints).
   bool checkpoint() {
-    if (StopFlag.load(std::memory_order_acquire))
+    if (Stopped)
       return false;
-    uint64_t C = Checkpoints.fetch_add(1, std::memory_order_relaxed) + 1;
+    uint64_t C = ++Checkpoints;
     if (Lim.CrashAtCheckpoint != 0 && C >= Lim.CrashAtCheckpoint)
       crashNow(); // does not return
     if (Lim.HangAtCheckpoint != 0 && C >= Lim.HangAtCheckpoint)
@@ -215,7 +204,7 @@ public:
   }
 
   /// True once any limit has tripped (sticky).
-  bool stopped() const { return StopFlag.load(std::memory_order_acquire); }
+  bool stopped() const { return Stopped; }
 
   /// Requests cooperative cancellation; safe from any thread. Takes effect
   /// at the next checkpoint.
@@ -233,13 +222,9 @@ public:
   /// Phase the cutoff happened in (meaningful only when stopped()).
   RunPhase cutoffPhase() const { return CutPhase; }
   /// Total checkpoints passed so far.
-  uint64_t checkpointCount() const {
-    return Checkpoints.load(std::memory_order_relaxed);
-  }
+  uint64_t checkpointCount() const { return Checkpoints; }
   /// Checkpoints passed since the current phase began.
-  uint64_t phaseWork() const {
-    return Checkpoints.load(std::memory_order_relaxed) - PhaseStartWork;
-  }
+  uint64_t phaseWork() const { return Checkpoints - PhaseStartWork; }
   /// Checkpoint index at which the run stopped (0 if still running).
   uint64_t workAtCutoff() const { return CutoffAt; }
   /// Milliseconds since the guard was constructed.
@@ -262,17 +247,11 @@ private:
   [[noreturn]] static void hangForever();
 
   bool stop(CutoffReason R) {
-    // Two-step latch: a relaxed CAS elects the winner, which records the
-    // cutoff details and only then publishes StopFlag with release order,
-    // so any thread observing stopped() also observes Reason/CutPhase/
-    // CutoffAt.
-    bool Expected = false;
-    if (StopClaim.compare_exchange_strong(Expected, true,
-                                          std::memory_order_relaxed)) {
+    if (!Stopped) {
+      Stopped = true;
       Reason = R;
       CutPhase = CurPhase;
-      CutoffAt = Checkpoints.load(std::memory_order_relaxed);
-      StopFlag.store(true, std::memory_order_release);
+      CutoffAt = Checkpoints;
       traceGuardStop(R, CurPhase); // one-shot, off the hot path
     }
     return false;
@@ -291,15 +270,14 @@ private:
 
   Limits Lim;
   Timer T;
-  std::atomic<uint64_t> Checkpoints{0};
+  uint64_t Checkpoints = 0;
   uint64_t PhaseStartWork = 0;
   uint64_t PhaseWorkAcc[5] = {0, 0, 0, 0, 0};
   uint64_t CutoffAt = 0;
   RunPhase CurPhase = RunPhase::PointerAnalysis;
   RunPhase CutPhase = RunPhase::PointerAnalysis;
   CutoffReason Reason = CutoffReason::None;
-  std::atomic<bool> StopClaim{false};
-  std::atomic<bool> StopFlag{false};
+  bool Stopped = false;
   std::atomic<bool> CancelFlag{false};
 };
 

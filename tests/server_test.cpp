@@ -508,7 +508,6 @@ TEST(Service, OptionsRoundTripThroughCanonicalEncoding) {
   O.Budget = 1234;
   O.MaxLen = 9;
   O.NestedDepth = 5;
-  O.Threads = 3;
   O.DeadlineMs = 250.5;
   O.MaxMemoryMb = 512;
   O.Raw = true;
@@ -520,10 +519,6 @@ TEST(Service, OptionsRoundTripThroughCanonicalEncoding) {
   RunOptions Changed = O;
   Changed.Budget = 1235;
   EXPECT_NE(optionsFingerprint(Changed), optionsFingerprint(O));
-  // ...but not to thread count (results are thread-count invariant).
-  RunOptions Threads = O;
-  Threads.Threads = 7;
-  EXPECT_EQ(optionsFingerprint(Threads), optionsFingerprint(O));
 }
 
 TEST(Service, RetryDegradationStripsFaultInjection) {
@@ -531,12 +526,10 @@ TEST(Service, RetryDegradationStripsFaultInjection) {
   O.CrashAt = 5;
   O.HangAt = 6;
   O.FailAt = 7;
-  O.Threads = 8;
   RunOptions D = degradeForRetry(O);
   EXPECT_EQ(D.CrashAt, 0u);
   EXPECT_EQ(D.HangAt, 0u);
   EXPECT_EQ(D.FailAt, 0u);
-  EXPECT_EQ(D.Threads, 1u);
   EXPECT_EQ(D.StringAnalysis, StringAnalysisMode::Local);
 }
 

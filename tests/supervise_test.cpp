@@ -162,8 +162,6 @@ TEST(Classify, ExitCodesMapToClasses) {
   EXPECT_EQ(classifyWaitStatus(exitedStatus(1), false), ExitClass::Error);
   EXPECT_EQ(classifyWaitStatus(exitedStatus(WorkerOomExitCode), false),
             ExitClass::Oom);
-  EXPECT_EQ(classifyWaitStatus(exitedStatus(WorkerSpawnFailExitCode), false),
-            ExitClass::Error);
   // A normal exit is never attributed to the watchdog.
   EXPECT_EQ(classifyWaitStatus(exitedStatus(0), true), ExitClass::Clean);
 }
@@ -477,6 +475,18 @@ TEST(Supervised, AddressSpaceBackstopTripsAsOom) {
   ASSERT_NE(First, std::string::npos) << Out;
   EXPECT_NE(Out.find("(oom)", First + 1), std::string::npos) << Out;
   EXPECT_EQ(statOf(StatsPath, "supervise.oom_killed"), 2);
+  // 16 MB of headroom is enough for the whole analysis: both apps finish
+  // clean with every flow (three per copy). Nothing in the worker needs
+  // address space beyond its heap, so nothing can abort it here.
+  Out = runCli("TAJ_HARD_MAX_MEMORY_MB=16 --batch=" + List +
+                   " --jobs=1 --retry=0",
+               Exit);
+  EXPECT_EQ(Exit, 0) << Out;
+  EXPECT_EQ(Out.find("(crashed"), std::string::npos) << Out;
+  First = Out.find("exit=0 issues=192");
+  ASSERT_NE(First, std::string::npos) << Out;
+  EXPECT_NE(Out.find("exit=0 issues=192", First + 1), std::string::npos)
+      << Out;
   // Without the ceiling the same list runs clean.
   Out = runCli("--batch=" + List + " --jobs=1 --retry=0", Exit);
   EXPECT_EQ(Exit, 0) << Out;

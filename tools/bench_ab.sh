@@ -14,10 +14,9 @@
 #             committed BENCH_<n>.json by accident
 #
 # Measured: the analysis layers of the large-app path — BM_PointerAnalysis,
-# BM_SdgConstruction, BM_HybridSlicing, BM_HybridSlicingThreads and
-# BM_CiSlicing — plus BM_ServerWarmRequest (the warm restore path). The
-# speedup column is medianA / medianB, so values above 1 mean the
-# candidate is faster.
+# BM_SdgConstruction, BM_HybridSlicing and BM_CiSlicing — plus
+# BM_ServerWarmRequest (the warm restore path). The speedup column is
+# medianA / medianB, so values above 1 mean the candidate is faster.
 #
 #===----------------------------------------------------------------------===#
 set -euo pipefail

@@ -17,8 +17,6 @@
 //                         interprocedural propagation (default)
 //   --max-flow-length=<n> drop flows longer than n
 //   --nested-depth=<n>    taint-carrier field-dereference bound
-//   --threads=<n>         worker threads for slicing (0 = auto, default;
-//                         output is byte-identical at every thread count)
 //   --verify=<off|fast|full>
 //                         self-verification over the run's own artifacts:
 //                         fast re-checks SDG endpoint liveness and replays
@@ -59,7 +57,7 @@
 //   --retry=<n>           re-runs granted to a crashed / timed-out /
 //                         OOM-killed app, each with a degraded config
 //                         (halved call-graph budget, local string
-//                         analysis, one thread; default 1). Applies to
+//                         analysis; default 1). Applies to
 //                         --jobs>=1 batches and to --serve requests.
 //   --journal=<path>      append-only JSONL journal of per-app attempts
 //                         (crash-safe; enables --resume for batches and
@@ -89,8 +87,7 @@
 //                         response's per-request counters
 //   --trace=PATH          write a Chrome trace-event JSON timeline of the
 //                         run (loadable in chrome://tracing / Perfetto):
-//                         spans for every pipeline phase, per-worker spans
-//                         in the parallel slicing engine, instant events
+//                         spans for every pipeline phase, instant events
 //                         for guard stops and cache hits/misses. Under
 //                         --jobs>=1 and --serve each worker's events are
 //                         collected and merged into one timeline keyed by
@@ -102,9 +99,9 @@
 //
 // The governance knobs are also readable from the environment
 // (TAJ_DEADLINE_MS, TAJ_MAX_MEMORY_MB, TAJ_FAIL_AT, TAJ_CRASH_AT,
-// TAJ_CRASH_SIGNAL, TAJ_HANG_AT); the thread count from TAJ_THREADS; the
-// worker pool's non-cooperative backstops from TAJ_HARD_DEADLINE_MS,
-// TAJ_HARD_MAX_MEMORY_MB and TAJ_WATCHDOG_GRACE_MS. Explicit flags win.
+// TAJ_CRASH_SIGNAL, TAJ_HANG_AT); the worker pool's non-cooperative
+// backstops from TAJ_HARD_DEADLINE_MS, TAJ_HARD_MAX_MEMORY_MB and
+// TAJ_WATCHDOG_GRACE_MS. Explicit flags win.
 //
 // Exit codes (the documented contract):
 //   0  clean: the analysis ran to completion (issues, if any, printed)
@@ -152,8 +149,7 @@ void usage() {
       stderr,
       "usage: taj-cli [--config=NAME] [--budget=N] [--max-flow-length=N]\n"
       "               [--string-analysis=off|local|ipa]\n"
-      "               [--nested-depth=N] [--threads=N] [--verify=MODE]\n"
-      "               [--deadline-ms=N]\n"
+      "               [--nested-depth=N] [--verify=MODE] [--deadline-ms=N]\n"
       "               [--max-memory-mb=N] [--fail-at=N] [--crash-at=N]\n"
       "               [--hang-at=N] [--cache-dir=PATH] [--cache-max-mb=N]\n"
       "               [--cache-grace-ms=N] [--jobs=N] [--retry=N]\n"
