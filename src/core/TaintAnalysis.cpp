@@ -74,21 +74,10 @@ AnalysisResult TaintAnalysis::run(const std::vector<MethodId> &Roots) {
                        G.limits().CrashAtCheckpoint == 0 &&
                        G.limits().HangAtCheckpoint == 0;
   std::string PtsKey, SdgKey;
-  // Counter baselines, so this run's RunStats carries per-run deltas (a
-  // shared batch cache accumulates across runs; summing the deltas of N
-  // runs then reproduces the lifetime totals).
-  uint64_t Hit0 = 0, Miss0 = 0, Store0 = 0, Evict0 = 0, Skip0 = 0,
-           Corrupt0 = 0, VerMiss0 = 0, Touch0 = 0;
-  if (Cache) {
-    Hit0 = Cache->hits();
-    Miss0 = Cache->misses();
-    Store0 = Cache->stores();
-    Evict0 = Cache->evictions();
-    Skip0 = Cache->evictSkips();
-    Corrupt0 = Cache->corruptions();
-    VerMiss0 = Cache->versionMisses();
-    Touch0 = Cache->touchFailures();
-  }
+  // Counter baseline, so this run's RunStats carries per-run deltas (a
+  // shared batch cache accumulates across runs).
+  const persist::CacheCounters Cache0 =
+      Cache ? Cache->counters() : persist::CacheCounters();
   if (CacheOn) {
     PtsKey = persist::ArtifactCache::makeKey("pts", Config.InputFingerprint,
                                              Config.pointsToFingerprint());
@@ -118,17 +107,15 @@ AnalysisResult TaintAnalysis::run(const std::vector<MethodId> &Roots) {
   bool PtsWarm = false;
   if (CacheOn) {
     PhaseScope S(&Prof, "persist_load");
-    if (std::optional<persist::LoadedPayload> Payload =
-            Cache->load(PtsKey, persist::ArtifactKind::PointsTo)) {
-      persist::Reader R(Payload->data(), Payload->size());
-      PtsWarm = persist::Access::restoreSolver(*Solver, R);
-      if (!PtsWarm) {
-        Cache->noteRestoreFailure(PtsKey);
-        // A failed restore may leave partial tables; recreate the solver
-        // so the cold path starts pristine.
-        Solver = std::make_unique<PointsToSolver>(P, CHA, PO);
-      }
-    }
+    PtsWarm = Cache->restore(
+        PtsKey, persist::ArtifactKind::PointsTo, [&](persist::Reader &R) {
+          if (persist::Access::restoreSolver(*Solver, R))
+            return true;
+          // A failed restore may leave partial tables; recreate the
+          // solver so the cold path starts pristine.
+          Solver = std::make_unique<PointsToSolver>(P, CHA, PO);
+          return false;
+        });
   }
   if (!PtsWarm) {
     {
@@ -173,10 +160,8 @@ AnalysisResult TaintAnalysis::run(const std::vector<MethodId> &Roots) {
     PhaseScope S(&Prof, "verify");
     const uint64_t Before = Vio.total();
     verify::verifyGraphs(P, CHA, *Solver, &ConstStrings, Vio);
-    if (PtsWarm && Vio.total() != Before) {
-      Vio.noteRestoreRejected();
-      Cache->noteRestoreFailure(PtsKey);
-    }
+    if (PtsWarm && Vio.total() != Before)
+      Cache->noteRestoreFailure(PtsKey, &Vio);
   }
 
   // Phase 2: thin slicing from sources (§3.2). Once the run is stopped
@@ -244,18 +229,8 @@ AnalysisResult TaintAnalysis::run(const std::vector<MethodId> &Roots) {
   G.exportStats(Out.RunStats);
   Out.RunStats.merge(ConstStrings.stats());
   Out.RunStats.merge(Solver->stats());
-  if (Cache) {
-    Out.RunStats.add("persist.hit", Cache->hits() - Hit0);
-    Out.RunStats.add("persist.miss", Cache->misses() - Miss0);
-    Out.RunStats.add("persist.store", Cache->stores() - Store0);
-    Out.RunStats.add("persist.evict", Cache->evictions() - Evict0);
-    Out.RunStats.add("persist.evict_skipped", Cache->evictSkips() - Skip0);
-    Out.RunStats.add("persist.corrupt", Cache->corruptions() - Corrupt0);
-    Out.RunStats.add("persist.version_miss",
-                     Cache->versionMisses() - VerMiss0);
-    Out.RunStats.add("persist.touch_failed",
-                     Cache->touchFailures() - Touch0);
-  }
+  if (Cache)
+    Cache->exportDeltas(Cache0, Out.RunStats);
   Out.PersistLoadMillis =
       (Prof.wallUsOf("persist_load") - PersistLoadBaseUs) / 1000.0;
   Out.RunStats.add(

@@ -2,10 +2,10 @@
 
 #include "persist/Cache.h"
 
-#include "persist/MemCache.h"
 #include "support/RunGuard.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
+#include "verify/Verify.h"
 
 #include <algorithm>
 #include <chrono>
@@ -33,8 +33,9 @@ void diag(const std::string &What, const std::string &Why) {
 } // namespace
 
 ArtifactCache::ArtifactCache(std::string Dir, uint64_t MaxBytes,
-                             uint64_t EvictGraceMs)
-    : Dir(std::move(Dir)), MaxBytes(MaxBytes), EvictGraceMs(EvictGraceMs) {
+                             uint64_t EvictGraceMs, uint64_t HotMaxBytes)
+    : Dir(std::move(Dir)), MaxBytes(MaxBytes), EvictGraceMs(EvictGraceMs),
+      HotMaxBytes(HotMaxBytes) {
   if (this->Dir.empty())
     return; // mem-only operation: no disk tier, and no diagnostic
   std::error_code Ec;
@@ -44,10 +45,6 @@ ArtifactCache::ArtifactCache(std::string Dir, uint64_t MaxBytes,
     diag("cache directory '" + this->Dir + "'",
          Ec ? Ec.message() : "not a directory");
 }
-
-uint64_t ArtifactCache::memHits() const { return Mem ? Mem->hits() : 0; }
-
-uint64_t ArtifactCache::memStores() const { return Mem ? Mem->stores() : 0; }
 
 std::string ArtifactCache::makeKey(const char *Phase,
                                    const std::string &InputFp,
@@ -73,22 +70,22 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
   trace::Span TS("cache-load: " + Key, "persist");
   // Hot tier first: the payload was verified when it entered the tier, so
   // a hit skips the disk read and the checksum re-verify entirely.
-  if (Mem) {
-    if (std::optional<std::vector<uint8_t>> V = Mem->get(Key)) {
-      ++Hits;
-      trace::addInstant("cache-hit(mem): " + Key, "persist");
-      const size_t Len = V->size();
-      return LoadedPayload(std::move(*V), 0, Len);
-    }
+  if (auto It = HotIndex.find(Key); It != HotIndex.end()) {
+    Hot.splice(Hot.begin(), Hot, It->second);
+    ++N.MemHit;
+    ++N.Hit;
+    trace::addInstant("cache-hit(mem): " + Key, "persist");
+    const std::vector<uint8_t> &V = It->second->Payload;
+    return LoadedPayload(V, 0, V.size());
   }
   if (!Enabled) {
-    ++Misses;
+    ++N.Miss;
     return std::nullopt;
   }
   const std::string Path = pathFor(Key);
   std::ifstream In(Path, std::ios::binary | std::ios::ate);
   if (!In) {
-    ++Misses;
+    ++N.Miss;
     trace::addInstant("cache-miss: " + Key, "persist");
     return std::nullopt;
   }
@@ -99,7 +96,7 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
     In.read(reinterpret_cast<char *>(Record.data()),
             static_cast<std::streamsize>(Record.size()));
   if (In.bad() || In.gcount() != static_cast<std::streamsize>(Record.size())) {
-    ++Corrupt;
+    ++N.Corrupt;
     diag("cache entry " + Key, "read failed");
     std::error_code Ec;
     fs::remove(Path, Ec);
@@ -115,8 +112,8 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
     // A well-formed record from another format generation (e.g. a cache
     // dir shared across binary versions): a clean miss, not corruption.
     // The stale entry is removed so the slot is rebuilt at this version.
-    ++VersionMiss;
-    ++Misses;
+    ++N.VersionMiss;
+    ++N.Miss;
     diag("cache entry " + Key, Err);
     {
       std::error_code Ec;
@@ -124,7 +121,7 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
     }
     return std::nullopt;
   case UnwrapStatus::Corrupt:
-    ++Corrupt;
+    ++N.Corrupt;
     diag("cache entry " + Key, Err);
     {
       std::error_code Ec;
@@ -132,12 +129,11 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
     }
     return std::nullopt;
   }
-  ++Hits;
+  ++N.Hit;
   trace::addInstant("cache-hit: " + Key, "persist");
   // Promote into the hot tier: the next load of this key (this process's
   // next request over the same app) is served from memory.
-  if (Mem)
-    Mem->put(Key, Payload, PayloadLen);
+  hotPut(Key, Payload, PayloadLen);
   // Refresh the LRU position so a warm working set survives eviction.
   std::error_code Ec;
   fs::last_write_time(Path, fs::file_time_type::clock::now(), Ec);
@@ -145,7 +141,7 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
     // E.g. a read-only cache dir: the payload is still good (the hit
     // stands), but eviction order is rotting — surface it instead of
     // ignoring the error.
-    ++TouchFailed;
+    ++N.TouchFailed;
     std::fprintf(stderr,
                  "taj-persist: cache entry %s: LRU touch failed: %s\n",
                  Key.c_str(), Ec.message().c_str());
@@ -159,11 +155,10 @@ void ArtifactCache::store(const std::string &Key, ArtifactKind Kind,
   trace::Span TS("cache-store: " + Key, "persist");
   // The hot tier takes the raw payload (it never re-verifies); the disk
   // gets the wrapped, checksummed record.
-  if (Mem)
-    Mem->put(Key, Payload.data(), Payload.size());
+  hotPut(Key, Payload.data(), Payload.size());
   if (!Enabled) {
-    if (Mem)
-      ++Stores; // mem-only operation: the store still happened
+    if (HotMaxBytes != 0)
+      ++N.Store; // mem-only operation: the store still happened
     return;
   }
   std::vector<uint8_t> Record = wrapRecord(Kind, Payload);
@@ -191,15 +186,43 @@ void ArtifactCache::store(const std::string &Key, ArtifactKind Kind,
     fs::remove(Tmp, Ec);
     return;
   }
-  ++Stores;
+  ++N.Store;
   evictToCap();
 }
 
-void ArtifactCache::noteRestoreFailure(const std::string &Key) {
-  ++Corrupt;
+void ArtifactCache::hotPut(const std::string &Key, const uint8_t *Data,
+                           size_t Len) {
+  if (Len > HotMaxBytes)
+    return; // no tier, or one entry would evict the whole tier
+  if (auto It = HotIndex.find(Key); It != HotIndex.end()) {
+    HotBytes -= It->second->Payload.size();
+    It->second->Payload.assign(Data, Data + Len);
+    Hot.splice(Hot.begin(), Hot, It->second);
+  } else {
+    Hot.push_front(HotEntry{Key, std::vector<uint8_t>(Data, Data + Len)});
+    HotIndex.emplace(Key, Hot.begin());
+  }
+  HotBytes += Len;
+  ++N.MemStore;
+  while (HotBytes > HotMaxBytes) {
+    HotBytes -= Hot.back().Payload.size();
+    HotIndex.erase(Hot.back().Key);
+    Hot.pop_back();
+  }
+}
+
+void ArtifactCache::noteRestoreFailure(const std::string &Key,
+                                       verify::Violations *Rejecter) {
+  ++N.Corrupt;
+  if (Rejecter)
+    Rejecter->noteRestoreRejected();
   diag("cache entry " + Key, "structural restore failed");
-  if (Mem)
-    Mem->erase(Key); // both tiers drop the key together
+  // Both tiers drop the key together.
+  if (auto It = HotIndex.find(Key); It != HotIndex.end()) {
+    HotBytes -= It->second->Payload.size();
+    Hot.erase(It->second);
+    HotIndex.erase(It);
+  }
   if (Enabled) {
     std::error_code Ec;
     fs::remove(pathFor(Key), Ec);
@@ -263,29 +286,32 @@ void ArtifactCache::evictToCap() {
       // Recently stored or loaded: a concurrent worker may be mid-read.
       // Entries are sorted oldest-first, so everything from here on is
       // younger and equally protected.
-      EvictSkipped +=
+      N.EvictSkipped +=
           static_cast<uint64_t>(&Entries.back() - &E) + 1;
       break;
     }
     std::error_code E2;
     if (fs::remove(E.Path, E2) && !E2) {
       Total -= E.Size;
-      ++Evictions;
+      ++N.Evict;
     }
   }
 }
 
-void ArtifactCache::exportStats(Stats &S) const {
-  S.add("persist.hit", Hits);
-  S.add("persist.miss", Misses);
-  S.add("persist.store", Stores);
-  S.add("persist.evict", Evictions);
-  S.add("persist.evict_skipped", EvictSkipped);
-  S.add("persist.corrupt", Corrupt);
-  S.add("persist.version_miss", VersionMiss);
-  S.add("persist.touch_failed", TouchFailed);
-  if (Mem)
-    Mem->exportStats(S);
+void ArtifactCache::exportDeltas(const CacheCounters &Since,
+                                 Stats &S) const {
+  S.add("persist.hit", N.Hit - Since.Hit);
+  S.add("persist.miss", N.Miss - Since.Miss);
+  S.add("persist.store", N.Store - Since.Store);
+  S.add("persist.evict", N.Evict - Since.Evict);
+  S.add("persist.evict_skipped", N.EvictSkipped - Since.EvictSkipped);
+  S.add("persist.corrupt", N.Corrupt - Since.Corrupt);
+  S.add("persist.version_miss", N.VersionMiss - Since.VersionMiss);
+  S.add("persist.touch_failed", N.TouchFailed - Since.TouchFailed);
+  if (HotMaxBytes != 0) {
+    S.add("persist.mem_hit", N.MemHit - Since.MemHit);
+    S.add("persist.mem_store", N.MemStore - Since.MemStore);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -304,21 +330,18 @@ SdgArtifacts persist::loadOrBuildSdg(const Program &P,
 
   if (UseCache) {
     PhaseScope PS(SO.Profile, "persist_load");
-    if (std::optional<LoadedPayload> Payload =
-            Cache->load(Key, ArtifactKind::Sdg)) {
-      // The heap graph is cheap and deterministic; rebuild it live so the
-      // restored HeapEdges can bind a valid reference.
-      A.HG = std::make_unique<HeapGraph>(Solver);
-      Reader R(Payload->data(), Payload->size());
-      if (Access::restoreSdg(A.G, A.HE, P, Solver, *A.HG, SO, NestedDepth,
-                             R)) {
-        A.FromCache = true;
-        return A;
-      }
-      Cache->noteRestoreFailure(Key);
-      A.G.reset();
-      A.HE.reset();
-      A.HG.reset();
+    if (Cache->restore(Key, ArtifactKind::Sdg, [&](Reader &R) {
+          // The heap graph is cheap and deterministic; rebuild it live so
+          // the restored HeapEdges can bind a valid reference.
+          A.HG = std::make_unique<HeapGraph>(Solver);
+          if (Access::restoreSdg(A.G, A.HE, P, Solver, *A.HG, SO, NestedDepth,
+                                 R))
+            return true;
+          A = SdgArtifacts();
+          return false;
+        })) {
+      A.FromCache = true;
+      return A;
     }
   }
 

@@ -31,19 +31,22 @@
 /// exceed the cap by the skipped bytes. Stale temp files older than the
 /// grace window (a crashed worker's leftovers) are swept during eviction.
 ///
-/// Hot tier: a MemCache attached via attachMemTier() is probed before the
-/// disk on every load (a hit skips the read and the checksum re-verify),
-/// is filled on every store, and is promoted into on every disk hit. Keys
-/// are content addresses, so the two tiers cannot disagree; the only
-/// invalidation path, noteRestoreFailure(), drops both. With an empty
-/// directory the cache runs mem-only (loads/stores touch just the tier) —
-/// the analysis-server worker configuration when no --cache-dir is given.
+/// Hot tier: sized when the cache is constructed (0 = none), an in-memory
+/// byte-capped LRU map from keys to verified payloads. It is probed before
+/// the disk on every load (a hit skips the read and the checksum
+/// re-verify), is filled on every store, and is promoted into on every
+/// disk hit. Keys are content addresses, so the two tiers cannot disagree;
+/// the only invalidation path, noteRestoreFailure(), drops both. An entry
+/// larger than the tier's cap is never admitted. With an empty directory
+/// the cache runs mem-only (loads/stores touch just the tier): the
+/// analysis-server worker configuration when no --cache-dir is given.
 ///
-/// Counters (exported into Stats under persist.*): hit, miss, store,
-/// evict, evict_skipped, corrupt, touch_failed, and mem_{hit,miss,store,
-/// evict} when a hot tier is attached. A mem hit counts as a persist.hit
-/// too — callers windowing hit deltas see warm loads whichever tier
-/// served them.
+/// Counters: hit, miss, store, evict, evict_skipped, corrupt,
+/// version_miss, touch_failed, and mem_{hit,store} with a hot tier. A mem
+/// hit counts as a persist.hit too, so a run sees its warm loads whichever
+/// tier served them. A run reports its share as persist.* deltas:
+/// counters() before it, exportDeltas() after it. Summing the deltas of N
+/// runs over one cache reproduces the cache's lifetime totals.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,8 +55,10 @@
 
 #include "persist/Serialize.h"
 
+#include <list>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace taj {
@@ -61,9 +66,11 @@ namespace taj {
 class ClassHierarchy;
 class Stats;
 
-namespace persist {
+namespace verify {
+class Violations;
+}
 
-class MemCache;
+namespace persist {
 
 /// A verified record payload returned by ArtifactCache::load. Owns the raw
 /// record bytes and exposes the payload window without copying it (the
@@ -82,7 +89,15 @@ private:
   size_t Len;
 };
 
-/// One on-disk artifact cache rooted at a directory.
+/// The cache's cumulative counters (see the file comment).
+struct CacheCounters {
+  uint64_t Hit = 0, Miss = 0, Store = 0, Evict = 0, EvictSkipped = 0,
+           Corrupt = 0, VersionMiss = 0, TouchFailed = 0, MemHit = 0,
+           MemStore = 0;
+};
+
+/// One artifact cache: an on-disk tier rooted at a directory plus an
+/// optional in-memory hot tier.
 class ArtifactCache {
 public:
   /// Opens (creating if needed) the cache at \p Dir. \p MaxBytes caps the
@@ -91,18 +106,14 @@ public:
   /// recently than this (0 = none; supervised batch workers default it
   /// on). If the directory cannot be created the disk tier is disabled:
   /// loads miss, stores are dropped. An empty \p Dir silently disables the
-  /// disk tier (mem-only operation once a hot tier is attached).
+  /// disk tier. \p HotMaxBytes caps the hot tier's summed payloads (0 = no
+  /// hot tier; UINT64_MAX = uncapped).
   explicit ArtifactCache(std::string Dir, uint64_t MaxBytes = 0,
-                         uint64_t EvictGraceMs = 0);
+                         uint64_t EvictGraceMs = 0, uint64_t HotMaxBytes = 0);
 
-  /// True when any tier can serve loads (disk usable or hot tier attached).
-  bool enabled() const { return Enabled || Mem != nullptr; }
+  /// True when any tier can serve loads (disk usable or a hot tier).
+  bool enabled() const { return Enabled || HotMaxBytes != 0; }
   const std::string &dir() const { return Dir; }
-
-  /// Layers the in-memory hot tier \p M (not owned; must outlive the
-  /// cache) over the disk. Pass nullptr to detach.
-  void attachMemTier(MemCache *M) { Mem = M; }
-  MemCache *memTier() const { return Mem; }
 
   /// Composes the content address for one phase entry:
   /// "<phase>-<hex16(fnv(input fp | config fp | format version))>".
@@ -115,48 +126,68 @@ public:
   /// deleted). A hit refreshes the entry's LRU position.
   std::optional<LoadedPayload> load(const std::string &Key, ArtifactKind Kind);
 
+  /// Loads \p Key and hands its payload to \p Restore (bool(Reader &)).
+  /// True when the artifact was restored. A payload that fails to restore
+  /// goes through noteRestoreFailure(); \p Restore itself must leave its
+  /// target pristine for the cold rebuild the caller then runs.
+  template <class RestoreFn>
+  bool restore(const std::string &Key, ArtifactKind Kind, RestoreFn Restore) {
+    std::optional<LoadedPayload> Payload = load(Key, Kind);
+    if (!Payload)
+      return false;
+    Reader R(Payload->data(), Payload->size());
+    if (Restore(R))
+      return true;
+    noteRestoreFailure(Key);
+    return false;
+  }
+
   /// Stores \p Payload under \p Key (atomic temp-file + rename), then
   /// evicts least-recently-used entries down to the byte cap.
   void store(const std::string &Key, ArtifactKind Kind,
              const std::vector<uint8_t> &Payload);
 
-  /// Reports that a payload passed record verification but failed
-  /// structural restoration: counted as corrupt, logged, entry deleted.
-  void noteRestoreFailure(const std::string &Key);
+  /// The one invalidation path: \p Key passed record verification but its
+  /// artifact is bad. Counted as corrupt, logged, and dropped from both
+  /// tiers. \p Rejecter is the violation sink of a --verify=full checker
+  /// that rejected the restored artifact; it counts the rejection
+  /// (persist.verify_rejected).
+  void noteRestoreFailure(const std::string &Key,
+                          verify::Violations *Rejecter = nullptr);
 
-  /// Exports persist.hit / persist.miss / persist.store / persist.evict /
-  /// persist.evict_skipped / persist.corrupt / persist.version_miss /
-  /// persist.touch_failed counters.
-  void exportStats(Stats &S) const;
+  const CacheCounters &counters() const { return N; }
+  /// Adds the persist.* counters' growth since \p Since to \p S:
+  /// mem_{hit,store} with a hot tier, the others always.
+  void exportDeltas(const CacheCounters &Since, Stats &S) const;
 
-  uint64_t hits() const { return Hits; }
-  uint64_t misses() const { return Misses; }
-  uint64_t stores() const { return Stores; }
-  uint64_t evictions() const { return Evictions; }
-  uint64_t evictSkips() const { return EvictSkipped; }
-  uint64_t corruptions() const { return Corrupt; }
-  /// Well-formed entries from another format generation: counted as a
-  /// clean miss (plus this), never as corruption.
-  uint64_t versionMisses() const { return VersionMiss; }
-  /// Hits whose LRU mtime refresh failed (e.g. a read-only cache dir):
-  /// the payload is still served, but eviction order is rotting.
-  uint64_t touchFailures() const { return TouchFailed; }
-  /// Hits served by the attached hot tier (0 when none is attached).
-  uint64_t memHits() const;
-  /// Payloads admitted into the attached hot tier (0 when none).
-  uint64_t memStores() const;
+  uint64_t hits() const { return N.Hit; }
+  uint64_t misses() const { return N.Miss; }
+  uint64_t stores() const { return N.Store; }
+  /// The hot tier's summed payload bytes and entry count.
+  uint64_t hotBytes() const { return HotBytes; }
+  size_t hotEntries() const { return Hot.size(); }
 
 private:
+  struct HotEntry {
+    std::string Key;
+    std::vector<uint8_t> Payload;
+  };
+
   std::string pathFor(const std::string &Key) const;
   void evictToCap();
+  /// Inserts (or replaces) \p Key in the hot tier, then evicts from its
+  /// LRU tail down to the cap.
+  void hotPut(const std::string &Key, const uint8_t *Data, size_t Len);
 
   std::string Dir;
   uint64_t MaxBytes;
   uint64_t EvictGraceMs;
   bool Enabled = false;
-  MemCache *Mem = nullptr;
-  uint64_t Hits = 0, Misses = 0, Stores = 0, Evictions = 0, EvictSkipped = 0,
-           Corrupt = 0, VersionMiss = 0, TouchFailed = 0;
+  CacheCounters N;
+  uint64_t HotMaxBytes;
+  std::list<HotEntry> Hot; ///< front = most recently used
+  std::unordered_map<std::string, std::list<HotEntry>::iterator> HotIndex;
+  uint64_t HotBytes = 0;
 };
 
 /// The SDG phase bundle a slicer needs: the graph, the heap graph it was

@@ -3,7 +3,6 @@
 #include "server/Pool.h"
 
 #include "persist/Cache.h"
-#include "persist/MemCache.h"
 #include "supervise/Supervisor.h"
 #include "support/Trace.h"
 
@@ -102,11 +101,10 @@ std::array<struct rlimit, 2> armTaskRlimits(const RunOptions &Opt) {
   for (const char *Var : {"TAJ_FAIL_AT", "TAJ_CRASH_AT", "TAJ_HANG_AT"})
     ::unsetenv(Var);
 
-  persist::ArtifactCache Cache(O.CacheDir, O.CacheMaxMb * 1024 * 1024,
-                               O.CacheGraceMs);
-  persist::MemCache Hot(O.HotMaxMb * 1024 * 1024);
-  if (O.HotTier)
-    Cache.attachMemTier(&Hot);
+  // MiB -> bytes, saturating: an uncapped tier stays uncapped.
+  persist::ArtifactCache Cache(
+      O.CacheDir, O.CacheMaxMb * 1024 * 1024, O.CacheGraceMs,
+      std::min<uint64_t>(O.HotMaxMb, UINT64_MAX >> 20) << 20);
   const char *TmpDir = std::getenv("TMPDIR");
   std::string Tmpl =
       std::string(TmpDir ? TmpDir : "/tmp") + "/taj-worker-spool-XXXXXX";
@@ -146,7 +144,6 @@ std::array<struct rlimit, 2> armTaskRlimits(const RunOptions &Opt) {
     // Fresh ring per task: the answer carries only this task's events.
     if (Tracing)
       trace::enable();
-    const uint64_t MemHit0 = Cache.memHits(), MemStore0 = Cache.memStores();
     Stats TaskStats;
     const std::array<struct rlimit, 2> Restore = armTaskRlimits(Opt);
     RunOutcome Out = analyzeApp(Req.Sources, Opt,
@@ -164,10 +161,6 @@ std::array<struct rlimit, 2> armTaskRlimits(const RunOptions &Opt) {
         Resp.Report.clear();
         Out.Exit = ExitError; // report lost: do not claim a clean run
       }
-    }
-    if (O.HotTier) {
-      TaskStats.add("persist.mem_hit", Cache.memHits() - MemHit0);
-      TaskStats.add("persist.mem_store", Cache.memStores() - MemStore0);
     }
     Resp.Exit = Out.Exit;
     Resp.Issues = Out.NumIssues;

@@ -77,10 +77,9 @@ struct PoolOptions {
   std::string CacheDir;    ///< "" = no disk tier
   uint64_t CacheMaxMb = 0;
   uint64_t CacheGraceMs = 0;
-  /// Per-worker in-memory hot tier; off for batch workers, whose apps are
-  /// all distinct.
-  bool HotTier = false;
-  uint64_t HotMaxMb = 0; ///< hot-tier byte cap (0 = uncapped)
+  /// Per-worker in-memory hot tier cap in MiB: 0 = no hot tier (batch
+  /// workers, whose apps are all distinct), UINT64_MAX = uncapped.
+  uint64_t HotMaxMb = 0;
 };
 
 /// poll() timeout for a wake-up \p WakeMs from now (-1 = none).

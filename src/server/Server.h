@@ -12,8 +12,8 @@
 /// Why a daemon: batch mode amortizes the artifact cache across one run,
 /// but every `--jobs` worker still pays process start, cache open and a
 /// cold in-memory state per app. The server keeps PoolSize workers alive
-/// across requests; each worker owns the shared on-disk ArtifactCache
-/// plus a per-worker in-memory hot tier (persist::MemCache) holding
+/// across requests; each worker owns an ArtifactCache whose disk tier is
+/// shared and whose in-memory hot tier (sized by --hot-max-mb) holds
 /// verified payload bytes, so a warm request skips exec, disk reads and
 /// checksum re-verification entirely.
 ///

@@ -258,6 +258,15 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
   // phases (handed to the analysis via ExternalProfile). Every return
   // path below exports it, so a failed app still accounts its time.
   PhaseProfile Prof;
+  // The frontend's window on the cache counters, open from the first cache
+  // touch on (the analysis phases report their own window in RunStats).
+  // Every return path exports it, so the persist.* deltas of N runs over
+  // one cache add up to the cache's lifetime totals.
+  std::optional<persist::CacheCounters> IrCache0;
+  auto ExportIrWindow = [&](Stats &S) {
+    if (IrCache0)
+      Cache->exportDeltas(*IrCache0, S);
+  };
   // Unreadable/unparseable inputs must still leave a mark in the stats
   // artifact: the counter tells a supervising parent the app failed on
   // input, not inside the analysis.
@@ -265,6 +274,7 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
     if (MergedStats) {
       MergedStats->add("cli.input_errors");
       Prof.exportStats(*MergedStats);
+      ExportIrWindow(*MergedStats);
     }
     return Out; // Exit stays ExitError
   };
@@ -299,18 +309,8 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
   const std::string InputFp = Hex;
 
   const bool CacheOn = Cache && Cache->enabled();
-  // IR-phase counter baseline: the analysis phases report their own deltas
-  // in RunStats, so only the frontend window needs accounting here.
-  uint64_t Hit0 = 0, Miss0 = 0, Store0 = 0, Evict0 = 0, Corrupt0 = 0,
-           VerMiss0 = 0;
-  if (CacheOn) {
-    Hit0 = Cache->hits();
-    Miss0 = Cache->misses();
-    Store0 = Cache->stores();
-    Evict0 = Cache->evictions();
-    Corrupt0 = Cache->corruptions();
-    VerMiss0 = Cache->versionMisses();
-  }
+  if (CacheOn)
+    IrCache0 = Cache->counters();
 
   // One violation sink for the whole app: frontend checks below and the
   // analysis-internal checkers (via AnalysisConfig::Violations) fold into
@@ -326,15 +326,14 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
   if (CacheOn) {
     PhaseScope S(&Prof, "persist_load");
     IrKey = persist::ArtifactCache::makeKey("ir", InputFp, "");
-    if (std::optional<persist::LoadedPayload> Payload =
-            Cache->load(IrKey, persist::ArtifactKind::Ir)) {
-      persist::Reader R(Payload->data(), Payload->size());
-      IrWarm = persist::Access::restoreProgram(*P, R);
-      if (!IrWarm) {
-        Cache->noteRestoreFailure(IrKey);
-        P = std::make_unique<Program>(); // restore may leave partial state
-      }
-    }
+    IrWarm = Cache->restore(IrKey, persist::ArtifactKind::Ir,
+                            [&](persist::Reader &R) {
+                              if (persist::Access::restoreProgram(*P, R))
+                                return true;
+                              // Restore may leave partial state.
+                              P = std::make_unique<Program>();
+                              return false;
+                            });
   }
   // IRVerifier over a warm restore (--verify=full): the cold path verifies
   // before storing, so a violating restored program means the artifact —
@@ -346,11 +345,11 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
     const uint64_t Before = Vio.total();
     verify::verifyIr(*P, Vio);
     if (Vio.total() != Before) {
-      Vio.noteRestoreRejected();
-      Cache->noteRestoreFailure(IrKey);
+      Cache->noteRestoreFailure(IrKey, &Vio);
       if (MergedStats) {
         Vio.exportStats(*MergedStats);
         Prof.exportStats(*MergedStats);
+        ExportIrWindow(*MergedStats);
       }
       return Out; // Exit stays ExitError
     }
@@ -385,22 +384,17 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
       Cache->store(IrKey, persist::ArtifactKind::Ir, W.bytes());
     }
   }
-  // Frontend-window cache deltas, folded into the run's stats below so
-  // --stats and --stats-json see the full per-app persist.* picture.
-  uint64_t IrHit = 0, IrMiss = 0, IrStore = 0, IrEvict = 0, IrCorrupt = 0,
-           IrVerMiss = 0;
-  if (CacheOn) {
-    IrHit = Cache->hits() - Hit0;
-    IrMiss = Cache->misses() - Miss0;
-    IrStore = Cache->stores() - Store0;
-    IrEvict = Cache->evictions() - Evict0;
-    IrCorrupt = Cache->corruptions() - Corrupt0;
-    IrVerMiss = Cache->versionMisses() - VerMiss0;
-  }
+  // The frontend window closes here. Its deltas join the run's stats
+  // below, so --stats and --stats-json see the full per-app persist.*
+  // picture.
+  Stats IrStats;
+  ExportIrWindow(IrStats);
   if (Opt.DumpIr) {
     std::printf("%s", printProgram(*P).c_str());
-    if (MergedStats)
+    if (MergedStats) {
       Prof.exportStats(*MergedStats);
+      MergedStats->merge(IrStats);
+    }
     Out.Exit = ExitClean;
     return Out;
   }
@@ -416,14 +410,7 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
   MethodId Root = synthesizeEntrypointDriver(*P);
   TaintAnalysis TA(*P, std::move(C));
   AnalysisResult R = TA.run({Root});
-  if (CacheOn) {
-    R.RunStats.add("persist.hit", IrHit);
-    R.RunStats.add("persist.miss", IrMiss);
-    R.RunStats.add("persist.store", IrStore);
-    R.RunStats.add("persist.evict", IrEvict);
-    R.RunStats.add("persist.corrupt", IrCorrupt);
-    R.RunStats.add("persist.version_miss", IrVerMiss);
-  }
+  R.RunStats.merge(IrStats);
 
   const bool FailedNoStatus = !R.Completed && !R.degraded();
   if (!FailedNoStatus) {

@@ -1,14 +1,10 @@
 //===- slicer/CIThinSlicer.cpp - context-insensitive baseline --*- C++ -*-===//
 
-#include "persist/Cache.h"
 #include "slicer/HeapEdges.h"
 #include "slicer/Slicer.h"
 #include "slicer/SlicerCommon.h"
-#include "support/RunGuard.h"
 #include "support/Stats.h"
-#include "support/Trace.h"
 
-#include <optional>
 #include <unordered_map>
 
 using namespace taj;
@@ -23,9 +19,10 @@ namespace {
 /// R.Reached doubles as the BFS queue: nodes are enqueued exactly when
 /// first reached.
 void sliceOneCi(const SDG &G, const HeapEdges &HE,
-                slicer_detail::SliceWorkerState &WS, const SliceItem &It,
-                const SlicerOptions &Opts, std::vector<Issue> &Buf,
-                uint64_t &Edges, slicer_detail::SliceCounts &C) {
+                const std::vector<uint32_t> & /*StorePos*/,
+                const SlicerOptions &Opts, slicer_detail::SliceWorkerState &WS,
+                const SliceItem &It, std::vector<Issue> &Buf, uint64_t &Edges,
+                slicer_detail::SliceCounts &C) {
   RuleMask Rule = static_cast<RuleMask>(1u << It.RuleBit);
   SDGNodeId Src = It.Src;
   Budget HeapBudget(Opts.MaxHeapTransitions);
@@ -110,38 +107,8 @@ void sliceOneCi(const SDG &G, const HeapEdges &HE,
 SliceRunResult taj::runCiSlicer(const Program &P, const ClassHierarchy &CHA,
                                 const PointsToSolver &Solver,
                                 const SlicerOptions &Opts) {
-  RunGuard *Guard = Opts.Guard;
-  if (Guard)
-    Guard->beginPhase(RunPhase::SdgBuild);
   SDGOptions SO;
-  SO.Guard = Guard;
   SO.ContextExpanded = false;
   SO.WithChanParams = false;
-  SO.ModelExceptionSources = Opts.ModelExceptionSources;
-  SO.Profile = Opts.Profile;
-  std::optional<persist::SdgArtifacts> A;
-  {
-    PhaseScope PS(Opts.Profile, "sdg");
-    A.emplace(persist::loadOrBuildSdg(P, CHA, Solver, SO,
-                                      Opts.NestedTaintDepth, Opts.Cache,
-                                      Opts.CacheKey));
-  }
-  const SDG &G = *A->G;
-  const HeapEdges &HE = *A->HE;
-  slicer_detail::verifySdgPhase(P, G, &HE, Solver, Opts, A->FromCache);
-
-  SliceRunResult Out;
-  if (Guard)
-    Guard->beginPhase(RunPhase::Slicing);
-  PhaseScope PS(Opts.Profile, "slicing");
-  std::vector<SliceItem> Items = slicer_detail::collectSliceItems(G);
-  slicer_detail::runSliceItems(
-      Items, Guard, Out,
-      [&](slicer_detail::SliceWorkerState &WS, const SliceItem &It,
-          std::vector<Issue> &Buf, uint64_t &Edges,
-          slicer_detail::SliceCounts &C) {
-        sliceOneCi(G, HE, WS, It, Opts, Buf, Edges, C);
-      });
-  slicer_detail::verifyWitnessPhase(G, &HE, Out, Opts);
-  return Out;
+  return slicer_detail::runSlicer(P, CHA, Solver, Opts, SO, sliceOneCi);
 }

@@ -1,14 +1,9 @@
 //===- slicer/CSThinSlicer.cpp - context-sensitive baseline ----*- C++ -*-===//
 
-#include "persist/Cache.h"
 #include "rhs/Tabulation.h"
 #include "slicer/HeapEdges.h"
 #include "slicer/Slicer.h"
 #include "slicer/SlicerCommon.h"
-#include "support/RunGuard.h"
-#include "support/Trace.h"
-
-#include <optional>
 
 using namespace taj;
 using slicer_detail::SliceItem;
@@ -66,48 +61,9 @@ void sliceOneCs(const SDG &G, const HeapEdges &HE,
 SliceRunResult taj::runCsSlicer(const Program &P, const ClassHierarchy &CHA,
                                 const PointsToSolver &Solver,
                                 const SlicerOptions &Opts) {
-  RunGuard *Guard = Opts.Guard;
-  if (Guard)
-    Guard->beginPhase(RunPhase::SdgBuild);
   SDGOptions SO;
-  SO.Guard = Guard;
   SO.ContextExpanded = true;
   SO.WithChanParams = true;
-  SO.ModelExceptionSources = Opts.ModelExceptionSources;
   SO.ChanNodeBudget = Opts.CsChanBudget;
-  SO.Profile = Opts.Profile;
-  std::optional<persist::SdgArtifacts> A;
-  {
-    PhaseScope PS(Opts.Profile, "sdg");
-    A.emplace(persist::loadOrBuildSdg(P, CHA, Solver, SO,
-                                      Opts.NestedTaintDepth, Opts.Cache,
-                                      Opts.CacheKey));
-  }
-  const SDG &G = *A->G;
-
-  SliceRunResult Out;
-  if (G.chanBudgetExceeded()) {
-    // The channel extension exhausted memory: the configuration fails on
-    // this input, as CS thin slicing does on TAJ's larger benchmarks.
-    Out.Completed = false;
-    return Out;
-  }
-
-  const HeapEdges &HE = *A->HE;
-  slicer_detail::verifySdgPhase(P, G, &HE, Solver, Opts, A->FromCache);
-
-  if (Guard)
-    Guard->beginPhase(RunPhase::Slicing);
-  PhaseScope PS(Opts.Profile, "slicing");
-  std::vector<SliceItem> Items = slicer_detail::collectSliceItems(G);
-  const std::vector<uint32_t> StorePos = slicer_detail::storePositions(G);
-  slicer_detail::runSliceItems(
-      Items, Guard, Out,
-      [&](slicer_detail::SliceWorkerState &WS, const SliceItem &It,
-          std::vector<Issue> &Buf, uint64_t &PathEdges,
-          slicer_detail::SliceCounts &C) {
-        sliceOneCs(G, HE, StorePos, Opts, WS, It, Buf, PathEdges, C);
-      });
-  slicer_detail::verifyWitnessPhase(G, &HE, Out, Opts);
-  return Out;
+  return slicer_detail::runSlicer(P, CHA, Solver, Opts, SO, sliceOneCs);
 }

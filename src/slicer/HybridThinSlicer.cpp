@@ -1,15 +1,10 @@
 //===- slicer/HybridThinSlicer.cpp - TAJ's hybrid thin slicing -*- C++ -*-===//
 
-#include "persist/Cache.h"
 #include "rhs/Tabulation.h"
 #include "slicer/HeapEdges.h"
 #include "slicer/Slicer.h"
 #include "slicer/SlicerCommon.h"
-#include "support/RunGuard.h"
-#include "support/Stats.h"
-#include "support/Trace.h"
 
-#include <optional>
 #include <unordered_map>
 
 using namespace taj;
@@ -105,40 +100,9 @@ SliceRunResult taj::runHybridSlicer(const Program &P,
                                     const ClassHierarchy &CHA,
                                     const PointsToSolver &Solver,
                                     const SlicerOptions &Opts) {
-  RunGuard *Guard = Opts.Guard;
-  if (Guard)
-    Guard->beginPhase(RunPhase::SdgBuild);
   SDGOptions SO;
-  SO.Guard = Guard;
   SO.ContextExpanded = true;
   SO.WithChanParams = false;
-  SO.ModelExceptionSources = Opts.ModelExceptionSources;
-  SO.Profile = Opts.Profile;
-  std::optional<persist::SdgArtifacts> A;
-  {
-    PhaseScope PS(Opts.Profile, "sdg");
-    A.emplace(persist::loadOrBuildSdg(P, CHA, Solver, SO,
-                                      Opts.NestedTaintDepth, Opts.Cache,
-                                      Opts.CacheKey));
-  }
-  const SDG &G = *A->G;
-  const HeapEdges &HE = *A->HE;
-  slicer_detail::verifySdgPhase(P, G, &HE, Solver, Opts, A->FromCache);
-
-  SliceRunResult Out;
-  if (Guard)
-    Guard->beginPhase(RunPhase::Slicing);
-  PhaseScope PS(Opts.Profile, "slicing");
-  std::vector<SliceItem> Items = slicer_detail::collectSliceItems(G);
-  const std::vector<uint32_t> StorePos = slicer_detail::storePositions(G);
-  slicer_detail::runSliceItems(
-      Items, Guard, Out,
-      [&](slicer_detail::SliceWorkerState &WS, const SliceItem &It,
-          std::vector<Issue> &Buf, uint64_t &PathEdges,
-          slicer_detail::SliceCounts &C) {
-        slicer_detail::sliceOneHybrid(G, HE, StorePos, Opts, WS, It, Buf,
-                                      PathEdges, C);
-      });
-  slicer_detail::verifyWitnessPhase(G, &HE, Out, Opts);
-  return Out;
+  return slicer_detail::runSlicer(P, CHA, Solver, Opts, SO,
+                                  slicer_detail::sliceOneHybrid);
 }

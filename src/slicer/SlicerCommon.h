@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Helpers shared by the three slicer implementations: flow-path
-/// reconstruction for LCP report grouping, and the per-source slicing
-/// engine (work-item collection, the slice loop, deterministic merge).
+/// reconstruction for LCP report grouping, the per-source slicing engine
+/// (work-item collection, the slice loop, deterministic merge), and the
+/// one driver that runs a slicer from SDG build to witness replay.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 #include "slicer/Slicer.h"
 #include "support/RunGuard.h"
 #include "support/Stats.h"
+#include "support/Trace.h"
 
 #include <algorithm>
 #include <array>
@@ -36,7 +38,7 @@ namespace slicer_detail {
 /// build or warm restore). No-op unless verification is on and the build
 /// completed without a governance stop — a truncated graph is deliberately
 /// partial, not inconsistent. Under --verify=full a violating warm restore
-/// additionally counts as a rejected persisted artifact (the hot MemCache
+/// additionally counts as a rejected persisted artifact (the cache's hot
 /// tier skips the record checksum, so this is the only guard it has) and
 /// the poisoned cache entry is dropped for later runs.
 inline void verifySdgPhase(const Program &P, const SDG &G,
@@ -49,11 +51,8 @@ inline void verifySdgPhase(const Program &P, const SDG &G,
   const uint64_t Before = Opts.Violations->total();
   verify::verifySdg(P, G, HE, Solver, Opts.Verify, *Opts.Violations);
   if (FromCache && Opts.Verify == verify::VerifyMode::Full &&
-      Opts.Violations->total() != Before) {
-    Opts.Violations->noteRestoreRejected();
-    if (Opts.Cache)
-      Opts.Cache->noteRestoreFailure(Opts.CacheKey);
-  }
+      Opts.Violations->total() != Before)
+    Opts.Cache->noteRestoreFailure(Opts.CacheKey, Opts.Violations);
 }
 
 /// Replays every reported issue as a connected HSDG witness path after the
@@ -214,30 +213,61 @@ void sliceOneHybrid(const SDG &G, const HeapEdges &HE,
                     const SliceItem &It, std::vector<Issue> &Buf,
                     uint64_t &PathEdges, SliceCounts &C);
 
-/// Slices \p Items in order on one SliceWorkerState.
+/// Runs one slicer: builds (or restores) the SDG bundle of shape \p SO,
+/// whose Guard, Profile and ModelExceptionSources come from \p Opts,
+/// verifies it, slices the collectSliceItems() items in order on one
+/// SliceWorkerState and replays the witnesses. A graph whose CS channel
+/// budget tripped yields an incomplete result without slicing.
 ///
-/// \p Slice runs one item:
-///   Slice(SliceWorkerState &, const SliceItem &, std::vector<Issue> &Buf,
-///         uint64_t &PathEdges, SliceCounts &)
-/// appending the item's issues (in discovery order, duplicates included)
-/// to Buf and adding the item's traversal work to PathEdges. Completed
-/// items are counted into Out.Counters (`slice.*`).
-template <class SliceFn>
-void runSliceItems(const std::vector<SliceItem> &Items, RunGuard *Guard,
-                   SliceRunResult &Out, SliceFn Slice) {
+/// \p SliceOne has sliceOneHybrid's signature: it appends one item's
+/// issues (in discovery order, duplicates included) to Buf and adds the
+/// item's traversal work to PathEdges. Completed items are counted into
+/// the result's `slice.*` counters.
+template <class SliceOneFn>
+SliceRunResult runSlicer(const Program &P, const ClassHierarchy &CHA,
+                         const PointsToSolver &Solver,
+                         const SlicerOptions &Opts, SDGOptions SO,
+                         SliceOneFn SliceOne) {
+  RunGuard *Guard = Opts.Guard;
+  if (Guard)
+    Guard->beginPhase(RunPhase::SdgBuild);
+  SO.Guard = Guard;
+  SO.ModelExceptionSources = Opts.ModelExceptionSources;
+  SO.Profile = Opts.Profile;
+  persist::SdgArtifacts A;
+  {
+    PhaseScope PS(Opts.Profile, "sdg");
+    A = persist::loadOrBuildSdg(P, CHA, Solver, SO, Opts.NestedTaintDepth,
+                                Opts.Cache, Opts.CacheKey);
+  }
+  const SDG &G = *A.G;
+  SliceRunResult Out;
+  if (G.chanBudgetExceeded()) {
+    // The channel extension exhausted memory: the configuration fails on
+    // this input, as CS thin slicing does on TAJ's larger benchmarks.
+    Out.Completed = false;
+    return Out;
+  }
+  const HeapEdges &HE = *A.HE;
+  verifySdgPhase(P, G, &HE, Solver, Opts, A.FromCache);
+
+  if (Guard)
+    Guard->beginPhase(RunPhase::Slicing);
+  PhaseScope PS(Opts.Profile, "slicing");
+  const std::vector<uint32_t> StorePos = storePositions(G);
   SliceWorkerState WS;
   std::vector<Issue> Buf;
   std::set<Issue> Dedup;
   SliceCounts Total;
   uint64_t Done = 0;
-  for (const SliceItem &It : Items) {
+  for (const SliceItem &It : collectSliceItems(G)) {
     // One checkpoint per item; once the guard stops, every later item is
     // skipped and the in-flight one is discarded: underapproximate.
     if (Guard && !Guard->checkpoint())
       break;
     SliceCounts C;
     Buf.clear();
-    Slice(WS, It, Buf, Out.PathEdges, C);
+    SliceOne(G, HE, StorePos, Opts, WS, It, Buf, Out.PathEdges, C);
     if (Guard && Guard->stopped())
       break;
     ++Done;
@@ -253,6 +283,8 @@ void runSliceItems(const std::vector<SliceItem> &Items, RunGuard *Guard,
   Out.Counters.add("slice.heap_hops", Total.HeapHops);
   Out.Counters.add("slice.carrier_hits", Total.CarrierHits);
   std::sort(Out.Issues.begin(), Out.Issues.end());
+  verifyWitnessPhase(G, &HE, Out, Opts);
+  return Out;
 }
 
 } // namespace slicer_detail

@@ -33,7 +33,7 @@
 /// liveness + witness replay) on every run; Full adds the quadratic-ish
 /// ones (call-graph justification, fixpoint recheck, heap-edge
 /// justification, const-string consistency) and re-verifies every warm
-/// ArtifactCache/MemCache restore structurally — the hot tier skips
+/// ArtifactCache restore structurally — the cache's hot tier skips
 /// checksum re-verification entirely, so this is the only defense against
 /// in-memory corruption there.
 ///

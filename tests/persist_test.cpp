@@ -18,6 +18,7 @@
 #include "ir/Printer.h"
 #include "persist/Cache.h"
 #include "report/ReportGenerator.h"
+#include "server/Service.h"
 
 #include <gtest/gtest.h>
 
@@ -414,7 +415,7 @@ TEST(Eviction, GraceWindowShieldsFreshEntriesFromEviction) {
   RunOut Cold = runApp("A", AnalysisConfig::hybridUnbounded(), &Cache);
   EXPECT_EQ(Cold.Stores, 2u);
   EXPECT_EQ(Cold.Evicts, 0u);
-  EXPECT_GT(Cache.evictSkips(), 0u);
+  EXPECT_GT(Cache.counters().EvictSkipped, 0u);
   EXPECT_EQ(cacheEntries(D.Path).size(), 2u);
 
   // The shielded entries are still valid: the warm run hits them.
@@ -443,6 +444,44 @@ TEST(Eviction, GraceWindowSweepsStaleTempFiles) {
 //===----------------------------------------------------------------------===//
 // taj-cli end to end
 //===----------------------------------------------------------------------===//
+
+TEST(Counters, MergedRunDeltasAddUpToTheCacheLifetimeTotals) {
+  // analyzeApp reports each run's share of the cache counters as persist.*
+  // deltas: the frontend's ir window plus the analysis's pts/sdg window.
+  // Over N runs sharing one cache, the merged deltas must equal the
+  // cache's lifetime counters, every one of them. A 1-byte cap with a
+  // one-minute grace window makes every store skip eviction
+  // (evict_skipped); a hot tier adds mem_hit and mem_store.
+  const std::vector<server::AppSource> Src = {{TAJ_EXAMPLE_TAJ, false, ""}};
+  for (const uint64_t HotMaxBytes : {uint64_t(0), UINT64_MAX}) {
+    SCOPED_TRACE(HotMaxBytes ? "disk + hot tier" : "disk tier");
+    TempDir D;
+    persist::ArtifactCache Cache(D.Path, /*MaxBytes=*/1,
+                                 /*EvictGraceMs=*/60000, HotMaxBytes);
+    Stats Merged;
+    for (int Run = 0; Run < 3; ++Run)
+      ASSERT_EQ(server::analyzeApp(Src, server::RunOptions(), &Cache, &Merged)
+                    .Exit,
+                server::ExitClean);
+    const persist::CacheCounters &N = Cache.counters();
+    const std::pair<const char *, uint64_t> Lifetime[] = {
+        {"persist.hit", N.Hit},
+        {"persist.miss", N.Miss},
+        {"persist.store", N.Store},
+        {"persist.evict", N.Evict},
+        {"persist.evict_skipped", N.EvictSkipped},
+        {"persist.corrupt", N.Corrupt},
+        {"persist.version_miss", N.VersionMiss},
+        {"persist.touch_failed", N.TouchFailed},
+        {"persist.mem_hit", N.MemHit},
+        {"persist.mem_store", N.MemStore}};
+    for (const auto &[Name, Value] : Lifetime)
+      EXPECT_EQ(Merged.get(Name), Value) << Name;
+    EXPECT_EQ(N.Hit, 6u); // ir, pts and sdg on each warm run
+    EXPECT_EQ(N.EvictSkipped, 6u);
+    EXPECT_EQ(N.MemHit, HotMaxBytes ? 6u : 0u); // stores fill the hot tier
+  }
+}
 
 TEST(Cli, WarmRunIsByteIdenticalAndBatchMatchesSeparateRuns) {
   TempDir D;

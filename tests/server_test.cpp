@@ -6,9 +6,9 @@
 // control, per-request watchdogs, the degraded-config retry ladder and a
 // clean SIGTERM drain. These tests pin that contract down:
 //  - the framed wire protocol round-trips and rejects malformed frames;
-//  - the in-memory hot tier (persist::MemCache) LRU-evicts by bytes,
-//    rejects oversized entries, and layers over the disk cache (promotion
-//    on disk hits, mem-only operation without a cache dir);
+//  - the artifact cache's in-memory hot tier LRU-evicts by bytes, rejects
+//    oversized entries, and layers over the disk tier (promotion on disk
+//    hits, mem-only operation without a cache dir);
 //  - the shared option set round-trips through its canonical encoding and
 //    the retry degradation strips fault injection;
 //  - the new flags obey the dependency matrix (usage errors, not silent
@@ -28,7 +28,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "persist/Cache.h"
-#include "persist/MemCache.h"
 #include "server/Client.h"
 #include "server/Protocol.h"
 #include "server/Service.h"
@@ -44,6 +43,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -408,62 +408,74 @@ TEST(Protocol, AppendFrameMatchesTheWireFormat) {
 }
 
 //===----------------------------------------------------------------------===//
-// Hot tier (persist::MemCache) and its layering over the disk cache
+// The artifact cache's hot tier and its layering over the disk tier
 //===----------------------------------------------------------------------===//
 
-TEST(MemCache, LruEvictsByBytes) {
-  persist::MemCache M(100);
-  std::vector<uint8_t> Forty(40, 1);
-  M.put("a", Forty.data(), Forty.size());
-  M.put("b", Forty.data(), Forty.size());
-  EXPECT_EQ(M.entries(), 2u);
-  EXPECT_EQ(M.bytes(), 80u);
+/// Stores \p Len bytes under \p Key into \p Cache.
+static void put(persist::ArtifactCache &Cache, const std::string &Key,
+                size_t Len) {
+  Cache.store(Key, persist::ArtifactKind::Ir, std::vector<uint8_t>(Len, 1));
+}
+
+/// The payload size \p Cache serves for \p Key, or nullopt on a miss.
+static std::optional<size_t> get(persist::ArtifactCache &Cache,
+                                 const std::string &Key) {
+  auto Loaded = Cache.load(Key, persist::ArtifactKind::Ir);
+  return Loaded ? std::optional<size_t>(Loaded->size()) : std::nullopt;
+}
+
+TEST(HotTier, LruEvictsByBytes) {
+  persist::ArtifactCache Cache("", 0, 0, /*HotMaxBytes=*/100); // mem-only
+  put(Cache, "a", 40);
+  put(Cache, "b", 40);
+  EXPECT_EQ(Cache.hotEntries(), 2u);
+  EXPECT_EQ(Cache.hotBytes(), 80u);
   // Touch "a" so "b" is the LRU victim.
-  EXPECT_TRUE(M.get("a").has_value());
-  M.put("c", Forty.data(), Forty.size());
-  EXPECT_EQ(M.evictions(), 1u);
-  EXPECT_TRUE(M.get("a").has_value());
-  EXPECT_FALSE(M.get("b").has_value());
-  EXPECT_TRUE(M.get("c").has_value());
-  EXPECT_LE(M.bytes(), 100u);
+  EXPECT_TRUE(get(Cache, "a").has_value());
+  put(Cache, "c", 40);
+  EXPECT_EQ(Cache.hotEntries(), 2u);
+  EXPECT_TRUE(get(Cache, "a").has_value());
+  EXPECT_FALSE(get(Cache, "b").has_value());
+  EXPECT_TRUE(get(Cache, "c").has_value());
+  EXPECT_LE(Cache.hotBytes(), 100u);
 }
 
-TEST(MemCache, OversizedEntryIsRejectedOutright) {
-  persist::MemCache M(10);
-  std::vector<uint8_t> Big(11, 1);
-  M.put("big", Big.data(), Big.size());
-  EXPECT_EQ(M.entries(), 0u);
-  EXPECT_FALSE(M.get("big").has_value());
+TEST(HotTier, OversizedEntryIsRejectedOutright) {
+  persist::ArtifactCache Cache("", 0, 0, /*HotMaxBytes=*/10);
+  put(Cache, "big", 11);
+  EXPECT_EQ(Cache.hotEntries(), 0u);
+  EXPECT_EQ(Cache.counters().MemStore, 0u);
+  EXPECT_FALSE(get(Cache, "big").has_value());
   // A fitting entry is unaffected by the earlier rejection.
-  M.put("ok", Big.data(), 10);
-  EXPECT_TRUE(M.get("ok").has_value());
+  put(Cache, "ok", 10);
+  EXPECT_TRUE(get(Cache, "ok").has_value());
 }
 
-TEST(MemCache, CountersEraseAndReplace) {
-  persist::MemCache M(0); // uncapped
-  const uint8_t D[4] = {1, 2, 3, 4};
-  EXPECT_FALSE(M.get("k").has_value());
-  M.put("k", D, 4);
-  M.put("k", D, 2); // replace shrinks the byte accounting
-  EXPECT_EQ(M.bytes(), 2u);
-  EXPECT_EQ(M.entries(), 1u);
-  ASSERT_TRUE(M.get("k").has_value());
-  EXPECT_EQ(M.get("k")->size(), 2u);
-  M.erase("k");
-  EXPECT_EQ(M.bytes(), 0u);
-  EXPECT_FALSE(M.get("k").has_value());
-  EXPECT_EQ(M.stores(), 2u);
-  EXPECT_GE(M.misses(), 2u);
+TEST(HotTier, CountersEraseAndReplace) {
+  persist::ArtifactCache Cache("", 0, 0, /*HotMaxBytes=*/UINT64_MAX);
+  EXPECT_FALSE(get(Cache, "k").has_value());
+  put(Cache, "k", 4);
+  put(Cache, "k", 2); // replace shrinks the byte accounting
+  EXPECT_EQ(Cache.hotBytes(), 2u);
+  EXPECT_EQ(Cache.hotEntries(), 1u);
+  EXPECT_EQ(get(Cache, "k"), std::optional<size_t>(2));
+  Cache.noteRestoreFailure("k");
+  EXPECT_EQ(Cache.hotBytes(), 0u);
+  EXPECT_EQ(Cache.hotEntries(), 0u);
+  EXPECT_FALSE(get(Cache, "k").has_value());
+  EXPECT_EQ(Cache.counters().MemStore, 2u);
+  EXPECT_EQ(Cache.counters().MemHit, 1u);
+  EXPECT_EQ(Cache.misses(), 2u);
   Stats S;
-  M.exportStats(S);
+  Cache.exportDeltas(persist::CacheCounters(), S);
   EXPECT_EQ(S.get("persist.mem_store"), 2u);
+  EXPECT_EQ(S.get("persist.mem_hit"), 1u);
+  EXPECT_EQ(S.get("persist.corrupt"), 1u);
 }
 
 TEST(ArtifactCache, MemOnlyModeServesLoadsWithoutADirectory) {
-  persist::ArtifactCache Cache(""); // no disk tier
-  EXPECT_FALSE(Cache.enabled());
-  persist::MemCache Hot(0);
-  Cache.attachMemTier(&Hot);
+  EXPECT_FALSE(persist::ArtifactCache("").enabled()); // no tier at all
+  persist::ArtifactCache Cache("", 0, 0, UINT64_MAX);
   EXPECT_TRUE(Cache.enabled());
   std::vector<uint8_t> Payload = {9, 8, 7};
   Cache.store("ir-abc", persist::ArtifactKind::Ir, Payload);
@@ -472,7 +484,7 @@ TEST(ArtifactCache, MemOnlyModeServesLoadsWithoutADirectory) {
   EXPECT_EQ(std::vector<uint8_t>(Loaded->data(),
                                  Loaded->data() + Loaded->size()),
             Payload);
-  EXPECT_EQ(Cache.memHits(), 1u);
+  EXPECT_EQ(Cache.counters().MemHit, 1u);
   EXPECT_EQ(Cache.hits(), 1u); // a mem hit counts as a cache hit
   EXPECT_EQ(Cache.stores(), 1u);
 }
@@ -484,17 +496,15 @@ TEST(ArtifactCache, DiskHitsPromoteIntoTheHotTier) {
     persist::ArtifactCache Cold(T.Path);
     Cold.store("ir-k", persist::ArtifactKind::Ir, Payload);
   }
-  persist::ArtifactCache Cache(T.Path);
-  persist::MemCache Hot(0);
-  Cache.attachMemTier(&Hot);
+  persist::ArtifactCache Cache(T.Path, 0, 0, UINT64_MAX);
   ASSERT_TRUE(Cache.load("ir-k", persist::ArtifactKind::Ir).has_value());
-  EXPECT_EQ(Cache.memHits(), 0u); // first load came from disk...
-  EXPECT_EQ(Hot.entries(), 1u);   // ...and was promoted
+  EXPECT_EQ(Cache.counters().MemHit, 0u); // first load came from disk...
+  EXPECT_EQ(Cache.hotEntries(), 1u);      // ...and was promoted
   ASSERT_TRUE(Cache.load("ir-k", persist::ArtifactKind::Ir).has_value());
-  EXPECT_EQ(Cache.memHits(), 1u); // second load skips the disk
+  EXPECT_EQ(Cache.counters().MemHit, 1u); // second load skips the disk
   // Invalidation drops both tiers.
   Cache.noteRestoreFailure("ir-k");
-  EXPECT_EQ(Hot.entries(), 0u);
+  EXPECT_EQ(Cache.hotEntries(), 0u);
   EXPECT_FALSE(Cache.load("ir-k", persist::ArtifactKind::Ir).has_value());
 }
 
@@ -603,38 +613,43 @@ TEST(CliUsage, ConnectToMissingServerIsAnError) {
 //===----------------------------------------------------------------------===//
 
 TEST(Serve, ResponseIsByteIdenticalToLocalRunAndWarmsTheHotTier) {
-  TempDir T;
+  // The default cap, and 0, which means an uncapped tier (not none).
+  for (const char *HotFlag : {"--hot-max-mb=256", "--hot-max-mb=0"}) {
+    SCOPED_TRACE(HotFlag);
+    TempDir T;
 
-  // Local baseline.
-  std::string LocalOut = T.Path + "/local.out";
-  pid_t P = spawnCli({TAJ_EXAMPLE_TAJ}, LocalOut, T.Path + "/local.err");
-  ASSERT_EQ(waitExit(P), 0);
+    // Local baseline.
+    std::string LocalOut = T.Path + "/local.out";
+    pid_t P = spawnCli({TAJ_EXAMPLE_TAJ}, LocalOut, T.Path + "/local.err");
+    ASSERT_EQ(waitExit(P), 0);
 
-  // One worker, so the second request must land on the warmed tier.
-  ServerHandle S;
-  ASSERT_TRUE(S.start(T, {"--pool-size=1", "--cache-dir=" + T.Path + "/cache",
-                          "--stats-json=" + T.Path + "/server-stats.json"}));
+    // One worker, so the second request must land on the warmed tier.
+    ServerHandle S;
+    ASSERT_TRUE(S.start(T, {"--pool-size=1", HotFlag,
+                            "--cache-dir=" + T.Path + "/cache",
+                            "--stats-json=" + T.Path + "/server-stats.json"}));
 
-  for (int I = 0; I < 2; ++I) {
-    std::string Out = T.Path + "/c" + std::to_string(I) + ".out";
-    std::string StatsPath = T.Path + "/c" + std::to_string(I) + ".json";
-    pid_t C = spawnCli({"--connect=" + S.Sock, "--stats-json=" + StatsPath,
-                        TAJ_EXAMPLE_TAJ},
-                       Out, T.Path + "/client.err");
-    ASSERT_EQ(waitExit(C), 0) << readWhole(T.Path + "/client.err");
-    EXPECT_EQ(readWhole(Out), readWhole(LocalOut)) << "request " << I;
+    for (int I = 0; I < 2; ++I) {
+      std::string Out = T.Path + "/c" + std::to_string(I) + ".out";
+      std::string StatsPath = T.Path + "/c" + std::to_string(I) + ".json";
+      pid_t C = spawnCli({"--connect=" + S.Sock, "--stats-json=" + StatsPath,
+                          TAJ_EXAMPLE_TAJ},
+                         Out, T.Path + "/client.err");
+      ASSERT_EQ(waitExit(C), 0) << readWhole(T.Path + "/client.err");
+      EXPECT_EQ(readWhole(Out), readWhole(LocalOut)) << "request " << I;
+    }
+    // Request 0 filled the tier, request 1 was served from it.
+    EXPECT_EQ(statOf(T.Path + "/c0.json", "persist.mem_hit"), 0);
+    EXPECT_GT(statOf(T.Path + "/c0.json", "persist.mem_store"), 0);
+    EXPECT_GT(statOf(T.Path + "/c1.json", "persist.mem_hit"), 0);
+    EXPECT_EQ(statOf(T.Path + "/c1.json", "persist.miss"), 0);
+    EXPECT_GT(statOf(T.Path + "/c1.json", "server.hot_hits"), 0);
+    EXPECT_EQ(statOf(T.Path + "/c1.json", "server.served"), 2);
+
+    EXPECT_EQ(S.stop(), 0);
+    EXPECT_EQ(statOf(T.Path + "/server-stats.json", "server.served"), 2);
+    EXPECT_GT(statOf(T.Path + "/server-stats.json", "server.hot_hits"), 0);
   }
-  // Request 0 filled the tier, request 1 was served from it.
-  EXPECT_EQ(statOf(T.Path + "/c0.json", "persist.mem_hit"), 0);
-  EXPECT_GT(statOf(T.Path + "/c0.json", "persist.mem_store"), 0);
-  EXPECT_GT(statOf(T.Path + "/c1.json", "persist.mem_hit"), 0);
-  EXPECT_EQ(statOf(T.Path + "/c1.json", "persist.miss"), 0);
-  EXPECT_GT(statOf(T.Path + "/c1.json", "server.hot_hits"), 0);
-  EXPECT_EQ(statOf(T.Path + "/c1.json", "server.served"), 2);
-
-  EXPECT_EQ(S.stop(), 0);
-  EXPECT_EQ(statOf(T.Path + "/server-stats.json", "server.served"), 2);
-  EXPECT_GT(statOf(T.Path + "/server-stats.json", "server.hot_hits"), 0);
 }
 
 TEST(Serve, EightConcurrentClientsMatchTheBatchBaseline) {

@@ -460,8 +460,7 @@ int main(int Argc, char **Argv) {
   PO.CacheMaxMb = CacheMaxMb;
   PO.CacheGraceMs =
       CacheGraceSet ? CacheGraceMs : (CacheDir.empty() ? 0 : 60000);
-  PO.HotTier = Serving;
-  PO.HotMaxMb = HotMaxMb;
+  PO.HotMaxMb = !Serving ? 0 : HotMaxMb == 0 ? UINT64_MAX : HotMaxMb;
 
   int Exit;
   if (Connecting) {
